@@ -37,6 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::ops::Bound;
 
 use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer};
 
@@ -204,7 +205,9 @@ struct GroupState<P> {
     send_buf: BTreeMap<u64, Carried<P>>,
     recv: BTreeMap<NodeId, RecvState<P>>,
     retained: BTreeMap<(NodeId, u64), Carried<P>>,
-    ack_floors: BTreeMap<NodeId, BTreeMap<NodeId, u64>>,
+    /// Each member's last reported delivery floors, as sent in its `Ack`
+    /// (see [`floor_of`]).
+    ack_floors: BTreeMap<NodeId, Vec<(NodeId, u64)>>,
     pending_sends: VecDeque<Carried<P>>,
     /// Agreed-multicast origin state: my next origin_seq, unsequenced
     /// payloads awaiting the sequencer, and the per-origin delivery floor
@@ -351,6 +354,11 @@ pub struct GcsNode<P: Payload> {
     /// points without a context (e.g. [`GcsNode::create_group`]) stamp
     /// trace events.
     trace_now: SimTime,
+    /// Reusable buffer for the per-tick peer sets; see
+    /// [`GcsNode::take_peers`].
+    peer_scratch: Vec<NodeId>,
+    /// Reusable buffer for the per-sender stable floors of `on_ack`.
+    stable_scratch: Vec<(NodeId, u64)>,
 }
 
 impl<P: Payload> fmt::Debug for GcsNode<P> {
@@ -397,6 +405,8 @@ impl<P: Payload> GcsNode<P> {
             proto_cfg: ProtoConfig::default(),
             proto_probe: None,
             trace_now: SimTime::ZERO,
+            peer_scratch: Vec::new(),
+            stable_scratch: Vec::new(),
         }
     }
 
@@ -1268,50 +1278,73 @@ impl<P: Payload> GcsNode<P> {
         let Some(state) = self.groups.get_mut(&group) else {
             return;
         };
-        state
-            .ack_floors
-            .insert(member, delivered.into_iter().collect());
+        state.ack_floors.insert(member, delivered);
         // Stability: a message is stable once every current member has
         // delivered it; only then may retained copies be dropped.
-        let members = state.mem.view.members.clone();
-        if members.is_empty() {
+        if state.mem.view.members.is_empty() {
             return;
         }
-        let mut stable: BTreeMap<NodeId, u64> = BTreeMap::new();
-        let senders: BTreeSet<NodeId> = state
-            .recv
-            .keys()
-            .copied()
-            .chain(std::iter::once(node))
-            .collect();
-        for sender in senders {
-            let mut min_floor = u64::MAX;
-            for &m in &members {
-                let floor = if m == node {
-                    if sender == node {
-                        state.next_seq - 1
+        let stable_floor = |sender: NodeId| -> Option<u64> {
+            let min_floor = state
+                .mem
+                .view
+                .members
+                .iter()
+                .map(|&m| {
+                    if m == node {
+                        if sender == node {
+                            state.next_seq - 1
+                        } else {
+                            state.recv.get(&sender).map_or(0, |r| r.next - 1)
+                        }
                     } else {
-                        state.recv.get(&sender).map_or(0, |r| r.next - 1)
+                        state
+                            .ack_floors
+                            .get(&m)
+                            .and_then(|f| floor_of(f, sender))
+                            .unwrap_or(0)
                     }
-                } else {
-                    state
-                        .ack_floors
-                        .get(&m)
-                        .and_then(|f| f.get(&sender).copied())
-                        .unwrap_or(0)
-                };
-                min_floor = min_floor.min(floor);
+                })
+                .min()
+                .unwrap_or(u64::MAX);
+            (min_floor > 0 && min_floor < u64::MAX).then_some(min_floor)
+        };
+        // Every sender but this node, ascending (the receive map's order),
+        // with its stable floor; this node's own floor apart.
+        let stable = &mut self.stable_scratch;
+        stable.clear();
+        stable.extend(
+            state
+                .recv
+                .keys()
+                .filter(|&&sender| sender != node)
+                .filter_map(|&sender| stable_floor(sender).map(|floor| (sender, floor))),
+        );
+        let own = stable_floor(node);
+        let floor = |sender: NodeId| -> u64 {
+            if sender == node {
+                own.unwrap_or(0)
+            } else {
+                stable
+                    .binary_search_by_key(&sender, |&(s, _)| s)
+                    .map_or(0, |i| stable[i].1)
             }
-            if min_floor > 0 && min_floor < u64::MAX {
-                stable.insert(sender, min_floor);
+        };
+        if let Some(own) = own {
+            // The send buffer is keyed by sequence number: the stable
+            // prefix is exactly the entries up to the floor.
+            while let Some(entry) = state.send_buf.first_entry() {
+                if *entry.key() > own {
+                    break;
+                }
+                entry.remove();
             }
         }
-        if let Some(&floor) = stable.get(&node) {
-            state.send_buf.retain(|&seq, _| seq > floor);
+        if !state.retained.is_empty() {
+            state
+                .retained
+                .retain(|&(sender, seq), _| seq > floor(sender));
         }
-        state
-            .retained
-            .retain(|&(sender, seq), _| seq > stable.get(&sender).copied().unwrap_or(0));
     }
 
     // ------------------------------------------------------------------
@@ -1674,11 +1707,12 @@ impl<P: Payload> GcsNode<P> {
         if self.status(group) == GroupStatus::Idle {
             return AnnounceReaction::None;
         }
-        let suspected = self.suspected.clone();
-        let state = self.group_mut(group);
+        let Some(state) = self.groups.get_mut(&group) else {
+            return AnnounceReaction::None;
+        };
         match state
             .mem
-            .on_announce(&cfg, node, &suspected, from, vid, members)
+            .on_announce(&cfg, node, &self.suspected, from, vid, members)
         {
             AnnounceOutcome::Reform { epoch, candidates } => {
                 AnnounceReaction::Reform { epoch, candidates }
@@ -1731,12 +1765,8 @@ impl<P: Payload> GcsNode<P> {
     fn tick_failure_detector<M: Payload>(&mut self, ctx: &mut Context<'_, M>) {
         let now = ctx.now();
         let timeout = self.config.suspect_timeout;
-        let mut peers: BTreeSet<NodeId> = BTreeSet::new();
-        for state in self.groups.values() {
-            peers.extend(state.mem.view.members.iter().copied());
-        }
-        peers.remove(&self.node);
-        for peer in peers {
+        let peers = self.take_peers(|_| true);
+        for &peer in &peers {
             let heard = self.last_heard.get(&peer).copied();
             match heard {
                 Some(at) if now.saturating_since(at) > timeout => {
@@ -1757,25 +1787,69 @@ impl<P: Payload> GcsNode<P> {
                 }
             }
         }
+        self.peer_scratch = peers;
     }
 
     fn tick_heartbeats<M>(&mut self, ctx: &mut Context<'_, M>)
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let mut peers: BTreeSet<NodeId> = BTreeSet::new();
-        for state in self.groups.values() {
-            if matches!(
+        let peers = self.take_peers(|state| {
+            matches!(
                 state.mem.status,
                 GroupStatus::Member | GroupStatus::Flushing
-            ) {
-                peers.extend(state.mem.view.members.iter().copied());
-            }
-        }
-        peers.remove(&self.node);
-        for peer in peers {
+            )
+        });
+        for &peer in &peers {
             self.emit(ctx, peer, GcsPacket::Heartbeat);
         }
+        self.peer_scratch = peers;
+    }
+
+    /// Every member of the views of the groups `include` selects, other
+    /// than this node, ascending and without repeats. Built in the
+    /// reusable `peer_scratch` buffer, which the caller hands back when
+    /// done, so a tick allocates nothing once the buffer has grown.
+    fn take_peers(&mut self, include: impl Fn(&GroupState<P>) -> bool) -> Vec<NodeId> {
+        let mut peers = std::mem::take(&mut self.peer_scratch);
+        peers.clear();
+        for state in self.groups.values().filter(|s| include(s)) {
+            peers.extend(
+                state
+                    .mem
+                    .view
+                    .members
+                    .iter()
+                    .copied()
+                    .filter(|&m| m != self.node),
+            );
+        }
+        peers.sort_unstable();
+        peers.dedup();
+        peers
+    }
+
+    /// The first group after `after` (or the first group at all), in
+    /// group-id order, for which `pending` holds.
+    ///
+    /// Tick passes walk the groups with this cursor, so a pass allocates
+    /// nothing and does work only where some is pending. A pass's
+    /// per-group work does nothing to a group with nothing pending, so
+    /// skipping such groups is exact; and because the predicate is
+    /// evaluated against the state as the walk reaches each group, work
+    /// done for one group (a suspicion raised by a flush timeout, say) is
+    /// seen by the groups after it, as in a walk over every group. No pass
+    /// adds or removes groups while it walks.
+    fn next_group(
+        &self,
+        after: Option<GroupId>,
+        pending: impl Fn(&GroupState<P>) -> bool,
+    ) -> Option<GroupId> {
+        let rest = match after {
+            None => self.groups.range(..),
+            Some(g) => self.groups.range((Bound::Excluded(g), Bound::Unbounded)),
+        };
+        rest.filter(|(_, s)| pending(s)).map(|(&g, _)| g).next()
     }
 
     fn tick_acks<M>(&mut self, ctx: &mut Context<'_, M>)
@@ -1783,24 +1857,13 @@ impl<P: Payload> GcsNode<P> {
         M: Payload + From<GcsPacket<P>>,
     {
         let node = self.node;
-        let groups: Vec<GroupId> = self
+        let acking = self
             .groups
             .iter()
-            .filter(|(_, s)| s.mem.status == GroupStatus::Member && s.mem.view.len() > 1)
-            .map(|(&g, _)| g)
-            .collect();
-        for group in groups {
-            let state = &self.groups[&group];
+            .filter(|(_, s)| s.mem.status == GroupStatus::Member && s.mem.view.len() > 1);
+        for (&group, state) in acking {
             let delivered = state.floors(node);
-            let peers: Vec<NodeId> = state
-                .mem
-                .view
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| m != node)
-                .collect();
-            for member in peers {
+            for &member in state.mem.view.members.iter().filter(|&&m| m != node) {
                 self.emit(
                     ctx,
                     member,
@@ -1864,8 +1927,15 @@ impl<P: Payload> GcsNode<P> {
     {
         let node = self.node;
         let ticks = self.ticks;
-        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
-        for group in groups {
+        let mut cursor = None;
+        while let Some(group) = self.next_group(cursor, |s| {
+            s.install_resend.is_some()
+                || (s.mem.flush.is_some()
+                    && s.vc
+                        .as_ref()
+                        .is_some_and(|vc| ticks.saturating_sub(vc.last_prepare_tick) >= 2))
+        }) {
+            cursor = Some(group);
             // Re-send pending Prepares.
             let prepare: Option<(ViewId, Vec<NodeId>, Vec<NodeId>)> = {
                 let state = self.group_mut(group);
@@ -2111,8 +2181,17 @@ impl<P: Payload> GcsNode<P> {
         let node = self.node;
         let ticks = self.ticks;
         let flush_timeout_ticks = self.config.flush_timeout_ticks;
-        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
-        for group in groups {
+        let mut cursor = None;
+        loop {
+            let suspected = &self.suspected;
+            let Some(group) = self.next_group(cursor, |s| {
+                s.mem.flush.is_some()
+                    || matches!(s.mem.status, GroupStatus::Flushing | GroupStatus::Joining)
+                    || s.mem.election(node, suspected).is_some()
+            }) else {
+                break;
+            };
+            cursor = Some(group);
             // Abandon flushes whose coordinator went quiet, releasing any
             // sends that were queued behind the promise. A joiner's stale
             // promise is abandoned too: it blocks singleton formation,
@@ -2291,12 +2370,16 @@ impl<P: Payload> GcsNode<P> {
         self.nonmember_seen
             .retain(|_, &mut seen| ticks.saturating_sub(seen) <= horizon);
         let expiry = self.config.foreign_expiry_ticks;
-        let groups: Vec<GroupId> = self.groups.keys().copied().collect();
-        for group in groups {
+        let stale = |seen: u64| ticks.saturating_sub(seen) > expiry;
+        let mut cursor = None;
+        while let Some(group) =
+            self.next_group(cursor, |s| s.foreign_seen.values().any(|&seen| stale(seen)))
+        {
+            cursor = Some(group);
             let expired: Vec<NodeId> = self.groups[&group]
                 .foreign_seen
                 .iter()
-                .filter(|(_, &seen)| ticks.saturating_sub(seen) > expiry)
+                .filter(|(_, &seen)| stale(seen))
                 .map(|(&peer, _)| peer)
                 .collect();
             for peer in expired {
@@ -2372,6 +2455,17 @@ fn proto_msg_of<P: Payload>(pkt: &GcsPacket<P>) -> Option<(GroupId, ProtoMsg)> {
         )),
         _ => None,
     }
+}
+
+/// The floor `sender` has in an `Ack`'s floor list, if listed. When a
+/// sender is listed twice the last entry counts, as it would in a map
+/// built from the list.
+fn floor_of(floors: &[(NodeId, u64)], sender: NodeId) -> Option<u64> {
+    floors
+        .iter()
+        .rev()
+        .find(|&&(s, _)| s == sender)
+        .map(|&(_, floor)| floor)
 }
 
 /// Whether every causal dependency is satisfied by the local delivery

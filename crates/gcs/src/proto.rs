@@ -520,6 +520,42 @@ impl Membership {
             // fallback.
             return None;
         }
+        if self.view_stands(node, suspected) {
+            return None;
+        }
+        self.propose(node, suspected)
+    }
+
+    /// The election's fast path, run on every group at every tick: `true`
+    /// only when [`Membership::propose`] would return `None`, decided
+    /// without allocating.
+    ///
+    /// With no pending joiner, leaver or foreign view, no member is
+    /// stateless and nothing is added to or removed from the live
+    /// members, so the proposal is exactly the live members (those not
+    /// suspected), sorted and deduplicated, and it equals the view iff
+    /// the view is strictly ascending and no member is suspected. When
+    /// this node is not the first live member the full election returns
+    /// `None` before it builds anything, and so does this.
+    fn view_stands(&self, node: NodeId, suspected: &BTreeSet<NodeId>) -> bool {
+        if !(self.pending_joiners.is_empty()
+            && self.pending_leavers.is_empty()
+            && self.foreign.is_empty())
+        {
+            return false;
+        }
+        let members = &self.view.members;
+        let mut live = members.iter().filter(|m| !suspected.contains(m));
+        if live.next() != Some(&node) {
+            return true;
+        }
+        members.windows(2).all(|w| w[0] < w[1])
+            && (suspected.is_empty() || !members.iter().any(|m| suspected.contains(m)))
+    }
+
+    /// The full election behind [`Membership::election`], for a member
+    /// that is neither flushing nor leaving.
+    fn propose(&self, node: NodeId, suspected: &BTreeSet<NodeId>) -> Option<(u64, Vec<NodeId>)> {
         // A member that re-sent a `JoinReq` restarted stateless: it can
         // neither coordinate nor be waited on — it must be re-installed.
         let stateless = |m: &NodeId| self.pending_joiners.contains(m) && *m != node;
@@ -1491,5 +1527,111 @@ mod tests {
             "abandonment must unblock the singleton: {actions:?}"
         );
         assert_eq!(n.group.status, GroupStatus::Member);
+    }
+
+    /// The election without its fast path: the status guard followed by
+    /// the full computation.
+    fn full_election(
+        m: &Membership,
+        node: NodeId,
+        suspected: &BTreeSet<NodeId>,
+    ) -> Option<(u64, Vec<NodeId>)> {
+        if m.status != GroupStatus::Member || m.flush.is_some() || m.leaving {
+            return None;
+        }
+        m.propose(node, suspected)
+    }
+
+    /// A set drawn from `ids`, or the empty set when `keep` is false (so
+    /// roughly half the cases have nothing pending and reach the fast
+    /// path's decision).
+    fn some_of(ids: BTreeSet<u32>, keep: bool) -> BTreeSet<NodeId> {
+        if keep {
+            ids.into_iter().map(NodeId).collect()
+        } else {
+            BTreeSet::new()
+        }
+    }
+
+    mod election_fast_path {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4000))]
+
+            /// The allocation-free fast path of `Membership::election` returns
+            /// exactly what the full computation returns, over random views
+            /// (sorted or not, with repeats), suspicions, pending joiners and
+            /// leavers, foreign views and statuses.
+            #[test]
+            fn election_fast_path_matches_full_computation(
+                view in (
+                    prop::collection::vec(1u32..7, 0..6),
+                    any::<bool>(),
+                    1u64..6,
+                    1u32..7,
+                ),
+                me in (1u32..7, 0u64..8, 0u8..8),
+                pending in (
+                    prop::collection::btree_set(1u32..7, 0..4),
+                    any::<bool>(),
+                    prop::collection::btree_set(1u32..7, 0..3),
+                    any::<bool>(),
+                ),
+                suspicion in (
+                    prop::collection::btree_set(1u32..7, 0..4),
+                    any::<bool>(),
+                ),
+                foreign in prop::collection::vec(
+                    (1u32..7, prop::collection::vec(1u32..7, 0..4), 0u64..9),
+                    0..3,
+                ),
+            ) {
+                let (members, ascending, epoch, coordinator) = view;
+                let (node, max_epoch, flags) = me;
+                let (joiners, with_joiners, leavers, with_leavers) = pending;
+                let (suspects, with_suspects) = suspicion;
+                let mut members: Vec<NodeId> = members.into_iter().map(NodeId).collect();
+                if ascending {
+                    members.sort_unstable();
+                    members.dedup();
+                }
+                let mut m = Membership::new();
+                m.view = View {
+                    id: vid(epoch, coordinator),
+                    members,
+                };
+                m.had_view = true;
+                m.max_epoch_seen = max_epoch;
+                m.status = match flags & 3 {
+                    0 => GroupStatus::Joining,
+                    1 => GroupStatus::Flushing,
+                    _ => GroupStatus::Member,
+                };
+                m.leaving = flags & 4 != 0 && flags & 3 == 3;
+                m.pending_joiners = some_of(joiners, with_joiners);
+                m.pending_leavers = some_of(leavers, with_leavers);
+                // Foreign views only in the cases that also have joiners, so
+                // the fast path's empty-books case stays common.
+                if with_joiners {
+                    for (announcer, view, epoch) in foreign {
+                        m.foreign.insert(
+                            NodeId(announcer),
+                            ForeignView {
+                                vid: vid(epoch, announcer),
+                                members: nodes(&view),
+                            },
+                        );
+                    }
+                }
+                let suspected = some_of(suspects, with_suspects);
+                let node = NodeId(node);
+                prop_assert_eq!(
+                    m.election(node, &suspected),
+                    full_election(&m, node, &suspected)
+                );
+            }
+        }
     }
 }

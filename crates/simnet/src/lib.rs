@@ -81,9 +81,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod hash;
 mod net;
 mod process;
 mod profile;
+mod queue;
 pub mod rng;
 pub mod rt;
 mod sim;

@@ -6,13 +6,13 @@
 //! random draws and therefore identical results — the property that makes
 //! every figure in the experiment harness exactly reproducible.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
+use crate::hash::{FastMap, FastSet};
 use crate::net::{Endpoint, LinkProfile, NodeId, Payload};
 use crate::process::{AnyProcess, Context, Effect, Process, Timer, TimerId};
 use crate::profile::SimProfile;
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::SimTime;
@@ -146,16 +146,25 @@ pub enum TraceEvent {
 
 type Tracer = Box<dyn FnMut(&TraceEvent)>;
 
+/// Index of a node in the dense node table.
+type NodeIx = u32;
+
+/// A scheduled event. Datagrams and timers carry their node's dense
+/// index, resolved once when they are sent or armed, and a datagram its
+/// class's index into [`NetStats`]. Boots and crashes, scheduled by the
+/// harness while it builds a run, resolve their node when they fire, so
+/// building a run does no table work.
 enum EventKind<M: Payload> {
     Deliver {
         from: Endpoint,
         to: Endpoint,
-        msg: M,
-        class: &'static str,
+        dst: NodeIx,
+        class: usize,
         sent_at: SimTime,
+        msg: M,
     },
     Timer {
-        node: NodeId,
+        node: NodeIx,
         id: TimerId,
         tag: u64,
     },
@@ -185,37 +194,20 @@ enum EventKind<M: Payload> {
     },
 }
 
-struct Scheduled<M: Payload> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M: Payload> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<M: Payload> Eq for Scheduled<M> {}
-
-impl<M: Payload> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M: Payload> Ord for Scheduled<M> {
-    /// Reversed so that `BinaryHeap` (a max-heap) pops the earliest event;
-    /// ties broken by insertion order for determinism.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
+/// One entry of the dense node table: everything the engine keeps per
+/// node, reached by index on every event.
 struct NodeSlot<M: Payload> {
+    id: NodeId,
+    /// The node's process; `None` until its first boot (and, briefly,
+    /// while one of its handlers runs).
     process: Option<Box<dyn AnyProcess<M>>>,
     alive: bool,
+    /// Crashed and not restarted since; lets the tracer distinguish a
+    /// first boot from a post-crash repair.
+    crashed: bool,
+    /// When the node's NIC finishes serializing what it has already
+    /// queued; only links with a bandwidth touch it.
+    egress_busy: SimTime,
 }
 
 /// A deterministic discrete-event simulation of a set of communicating
@@ -260,25 +252,28 @@ struct NodeSlot<M: Payload> {
 /// ```
 pub struct Simulation<M: Payload> {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Scheduled<M>>,
-    nodes: BTreeMap<NodeId, NodeSlot<M>>,
+    queue: EventQueue<EventKind<M>>,
+    /// The dense node table: a slot per node id ever named to the engine
+    /// (booted, crashed or sent to), in first-seen order.
+    nodes: Vec<NodeSlot<M>>,
+    /// Node id to its index in `nodes`; grows with the number of distinct
+    /// ids, never with their magnitude.
+    node_index: FastMap<NodeId, NodeIx>,
     default_profile: LinkProfile,
     topology: Option<SiteTopology>,
-    overrides: HashMap<(NodeId, NodeId), LinkProfile>,
+    overrides: FastMap<(NodeId, NodeId), LinkProfile>,
     /// Directed pairs severed by active partitions, with a count per
     /// pair: overlapping partitions may cut the same link, and healing
     /// one must not reopen a pair the other still severs.
-    blocked: HashMap<(NodeId, NodeId), u32>,
-    /// Nodes that crashed and have not been restarted since; lets the
-    /// tracer distinguish a first boot from a post-crash repair.
-    crashed: HashSet<NodeId>,
+    blocked: FastMap<(NodeId, NodeId), u32>,
     /// Gilbert–Elliott state per directed link: `true` while the link is in
     /// the bad (bursty) state. Only touched when a profile sets `burst`.
-    burst_bad: HashMap<(NodeId, NodeId), bool>,
-    egress_busy: HashMap<NodeId, SimTime>,
+    burst_bad: FastMap<(NodeId, NodeId), bool>,
     rng: SimRng,
-    cancelled: HashSet<u64>,
+    /// Ids of cancelled timers that have not been popped yet (plus any
+    /// cancelled after they fired, which never match again). Almost always
+    /// empty, so the check on a timer pop is usually one branch.
+    cancelled: FastSet<u64>,
     next_timer_id: u64,
     stats: NetStats,
     effects: Vec<Effect<M>>,
@@ -296,18 +291,16 @@ impl<M: Payload> Simulation<M> {
     pub fn new(seed: u64) -> Self {
         Simulation {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            nodes: BTreeMap::new(),
+            queue: EventQueue::default(),
+            nodes: Vec::new(),
+            node_index: FastMap::default(),
             default_profile: LinkProfile::ideal(),
             topology: None,
-            overrides: HashMap::new(),
-            blocked: HashMap::new(),
-            crashed: HashSet::new(),
-            burst_bad: HashMap::new(),
-            egress_busy: HashMap::new(),
+            overrides: FastMap::default(),
+            blocked: FastMap::default(),
+            burst_bad: FastMap::default(),
             rng: SimRng::seed_from_u64(seed),
-            cancelled: HashSet::new(),
+            cancelled: FastSet::default(),
             next_timer_id: 0,
             stats: NetStats::new(),
             effects: Vec::new(),
@@ -416,9 +409,7 @@ impl<M: Payload> Simulation<M> {
     ///
     /// Panics if a live process already occupies `id`.
     pub fn add_node(&mut self, id: NodeId, process: impl Process<M>) {
-        if let Some(slot) = self.nodes.get(&id) {
-            assert!(!slot.alive, "node {id} already has a live process");
-        }
+        assert!(!self.is_alive(id), "node {id} already has a live process");
         self.start_node_at(self.now, id, process);
     }
 
@@ -485,24 +476,27 @@ impl<M: Payload> Simulation<M> {
 
     /// Whether node `id` currently hosts a live process.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|s| s.alive)
+        self.slot(id).is_some_and(|s| s.alive)
     }
 
     /// The ids of all nodes ever booted, in order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        let mut ids: Vec<NodeId> = self
+            .nodes
+            .iter()
+            .filter(|s| s.process.is_some())
+            .map(|s| s.id)
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Runs every event scheduled at or before `until`, then advances the
     /// clock to exactly `until`.
     pub fn run_until(&mut self, until: SimTime) {
         let started = self.profile.as_ref().map(|_| Instant::now());
-        while let Some(head) = self.queue.peek() {
-            if head.at > until {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.dispatch(ev.at, ev.kind);
+        while let Some((at, kind)) = self.queue.pop_until(until) {
+            self.dispatch(at, kind);
         }
         if until > self.now {
             self.now = until;
@@ -521,9 +515,9 @@ impl<M: Payload> Simulation<M> {
     /// empty.
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some(ev) => {
+            Some((at, kind)) => {
                 let started = self.profile.as_ref().map(|_| Instant::now());
-                self.dispatch(ev.at, ev.kind);
+                self.dispatch(at, kind);
                 if let (Some(profile), Some(started)) = (self.profile.as_mut(), started) {
                     profile.dispatch_ns += started.elapsed().as_nanos() as u64;
                 }
@@ -538,8 +532,7 @@ impl<M: Payload> Simulation<M> {
     /// Returns `None` if the node does not exist or hosts a different type.
     /// Works on crashed nodes too (post-mortem inspection).
     pub fn with_process<T: 'static, R>(&self, node: NodeId, f: impl FnOnce(&T) -> R) -> Option<R> {
-        self.nodes
-            .get(&node)?
+        self.slot(node)?
             .process
             .as_ref()
             .and_then(|p| p.as_any().downcast_ref::<T>())
@@ -555,8 +548,8 @@ impl<M: Payload> Simulation<M> {
         node: NodeId,
         f: impl FnOnce(&mut T) -> R,
     ) -> Option<R> {
-        self.nodes
-            .get_mut(&node)?
+        let ix = *self.node_index.get(&node)?;
+        self.nodes[ix as usize]
             .process
             .as_mut()
             .and_then(|p| p.as_any_mut().downcast_mut::<T>())
@@ -574,7 +567,8 @@ impl<M: Payload> Simulation<M> {
         node: NodeId,
         f: impl FnOnce(&mut T, &mut Context<'_, M>) -> R,
     ) -> Option<R> {
-        let slot = self.nodes.get_mut(&node)?;
+        let ix = *self.node_index.get(&node)?;
+        let slot = &mut self.nodes[ix as usize];
         if !slot.alive {
             return None;
         }
@@ -594,15 +588,14 @@ impl<M: Payload> Simulation<M> {
                 .map(|typed| f(typed, &mut ctx))
         };
         let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.process = Some(process);
-            if exited && result.is_some() {
-                slot.alive = false;
-            }
+        let slot = &mut self.nodes[ix as usize];
+        slot.process = Some(process);
+        if exited && result.is_some() {
+            slot.alive = false;
         }
         if result.is_some() {
             for effect in effects.drain(..) {
-                self.apply_effect(node, effect);
+                self.apply_effect(ix, node, effect);
             }
         } else {
             effects.clear();
@@ -611,10 +604,31 @@ impl<M: Payload> Simulation<M> {
         result
     }
 
+    /// The table entry of node `id`, if the engine has ever seen it.
+    fn slot(&self, id: NodeId) -> Option<&NodeSlot<M>> {
+        let ix = *self.node_index.get(&id)?;
+        Some(&self.nodes[ix as usize])
+    }
+
+    /// The dense index of node `id`, adding an empty, never-booted entry
+    /// on first sight.
+    fn intern(&mut self, id: NodeId) -> NodeIx {
+        let next = NodeIx::try_from(self.nodes.len()).expect("more than 2^32 nodes");
+        let ix = *self.node_index.entry(id).or_insert(next);
+        if ix == next {
+            self.nodes.push(NodeSlot {
+                id,
+                process: None,
+                alive: false,
+                crashed: false,
+                egress_busy: SimTime::ZERO,
+            });
+        }
+        ix
+    }
+
     fn schedule(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Scheduled { at, seq, kind });
+        self.queue.push(at, kind);
         if let Some(profile) = self.profile.as_mut() {
             profile.peak_queue_depth = profile.peak_queue_depth.max(self.queue.len() as u64);
         }
@@ -635,41 +649,47 @@ impl<M: Payload> Simulation<M> {
             EventKind::Deliver {
                 from,
                 to,
-                msg,
+                dst,
                 class,
                 sent_at,
+                msg,
             } => {
                 self.count(|p| p.deliver_events += 1);
-                let alive = self.nodes.get(&to.node).is_some_and(|s| s.alive);
-                if !alive {
-                    self.stats.class_mut(class).dropped_dead += 1;
-                    self.trace(TraceEvent::Dropped {
+                if !self.nodes[dst as usize].alive {
+                    self.stats.at_mut(class).dropped_dead += 1;
+                    if self.tracer.is_some() {
+                        let class = self.stats.name(class);
+                        self.trace(TraceEvent::Dropped {
+                            at,
+                            from,
+                            to,
+                            class,
+                            reason: DropReason::DeadNode,
+                        });
+                    }
+                    return;
+                }
+                self.stats.at_mut(class).delivered_msgs += 1;
+                if self.tracer.is_some() {
+                    let class = self.stats.name(class);
+                    self.trace(TraceEvent::Delivered {
                         at,
+                        sent_at,
                         from,
                         to,
                         class,
-                        reason: DropReason::DeadNode,
                     });
-                    return;
                 }
-                self.stats.class_mut(class).delivered_msgs += 1;
-                self.trace(TraceEvent::Delivered {
-                    at,
-                    sent_at,
-                    from,
-                    to,
-                    class,
-                });
-                self.run_handler(to.node, |process, ctx| {
+                self.run_handler(dst, |process, ctx| {
                     process.on_datagram(ctx, from, to, msg);
                 });
             }
             EventKind::Timer { node, id, tag } => {
-                if self.cancelled.remove(&id.0) {
+                if !self.cancelled.is_empty() && self.cancelled.remove(&id.0) {
                     self.count(|p| p.timer_squashed += 1);
                     return;
                 }
-                if !self.nodes.get(&node).is_some_and(|s| s.alive) {
+                if !self.nodes[node as usize].alive {
                     self.count(|p| p.timer_dead += 1);
                     return;
                 }
@@ -680,25 +700,23 @@ impl<M: Payload> Simulation<M> {
             }
             EventKind::Start { node, process } => {
                 self.count(|p| p.start_events += 1);
-                let slot = self.nodes.entry(node).or_insert(NodeSlot {
-                    process: None,
-                    alive: false,
-                });
+                let ix = self.intern(node);
+                let slot = &mut self.nodes[ix as usize];
                 slot.process = Some(process);
                 slot.alive = true;
-                if self.crashed.remove(&node) {
+                if std::mem::replace(&mut slot.crashed, false) {
                     self.trace(TraceEvent::NodeRestarted { at, node });
                 } else {
                     self.trace(TraceEvent::NodeStarted { at, node });
                 }
-                self.run_handler(node, |process, ctx| process.on_start(ctx));
+                self.run_handler(ix, |process, ctx| process.on_start(ctx));
             }
             EventKind::Crash { node } => {
                 self.count(|p| p.crash_events += 1);
-                if let Some(slot) = self.nodes.get_mut(&node) {
-                    slot.alive = false;
-                }
-                self.crashed.insert(node);
+                let ix = self.intern(node);
+                let slot = &mut self.nodes[ix as usize];
+                slot.alive = false;
+                slot.crashed = true;
                 self.trace(TraceEvent::NodeCrashed { at, node });
             }
             EventKind::Partition { a, b } => {
@@ -772,15 +790,14 @@ impl<M: Payload> Simulation<M> {
 
     fn run_handler(
         &mut self,
-        node: NodeId,
+        ix: NodeIx,
         f: impl FnOnce(&mut dyn AnyProcess<M>, &mut Context<'_, M>),
     ) {
-        let Some(slot) = self.nodes.get_mut(&node) else {
-            return;
-        };
+        let slot = &mut self.nodes[ix as usize];
         let Some(mut process) = slot.process.take() else {
             return;
         };
+        let node = slot.id;
         let mut effects = std::mem::take(&mut self.effects);
         {
             let mut ctx = Context {
@@ -793,24 +810,28 @@ impl<M: Payload> Simulation<M> {
             f(process.as_mut(), &mut ctx);
         }
         let exited = effects.iter().any(|e| matches!(e, Effect::Exit));
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.process = Some(process);
-            if exited {
-                slot.alive = false;
-            }
+        let slot = &mut self.nodes[ix as usize];
+        slot.process = Some(process);
+        if exited {
+            slot.alive = false;
         }
         for effect in effects.drain(..) {
-            self.apply_effect(node, effect);
+            self.apply_effect(ix, node, effect);
         }
         self.effects = effects;
     }
 
-    fn apply_effect(&mut self, node: NodeId, effect: Effect<M>) {
+    /// Applies one effect requested by the handler of node `node`, whose
+    /// dense index is `ix`.
+    fn apply_effect(&mut self, ix: NodeIx, node: NodeId, effect: Effect<M>) {
         match effect {
-            Effect::Send { from, to, msg } => self.route(from, to, msg),
+            Effect::Send { from, to, msg } => {
+                debug_assert_eq!(from.node, node, "a process sends from its own node");
+                self.route(ix, from, to, msg);
+            }
             Effect::SetTimer { id, at, tag } => {
                 self.count(|p| p.timers_set += 1);
-                self.schedule(at, EventKind::Timer { node, id, tag });
+                self.schedule(at, EventKind::Timer { node: ix, id, tag });
             }
             Effect::CancelTimer(id) => {
                 self.count(|p| p.timers_cancelled += 1);
@@ -820,12 +841,15 @@ impl<M: Payload> Simulation<M> {
         }
     }
 
-    fn route(&mut self, from: Endpoint, to: Endpoint, msg: M) {
+    /// Submits `msg` to the network on behalf of the node at index `src`
+    /// (always `from.node`).
+    fn route(&mut self, src: NodeIx, from: Endpoint, to: Endpoint, msg: M) {
         self.count(|p| p.msgs_routed += 1);
-        let class = msg.class();
+        let name = msg.class();
+        let class = self.stats.class_index(name);
         let size = msg.size_bytes();
         {
-            let counters = self.stats.class_mut(class);
+            let counters = self.stats.at_mut(class);
             counters.sent_msgs += 1;
             counters.sent_bytes += size as u64;
         }
@@ -834,16 +858,16 @@ impl<M: Payload> Simulation<M> {
             at,
             from,
             to,
-            class,
+            class: name,
             bytes: size,
         });
         if self.blocked.contains_key(&(from.node, to.node)) {
-            self.stats.class_mut(class).dropped_partition += 1;
+            self.stats.at_mut(class).dropped_partition += 1;
             self.trace(TraceEvent::Dropped {
                 at,
                 from,
                 to,
-                class,
+                class: name,
                 reason: DropReason::Partition,
             });
             return;
@@ -875,12 +899,12 @@ impl<M: Payload> Simulation<M> {
             }
         };
         if loss_now > 0.0 && self.rng.gen_f64() < loss_now {
-            self.stats.class_mut(class).dropped_loss += 1;
+            self.stats.at_mut(class).dropped_loss += 1;
             self.trace(TraceEvent::Dropped {
                 at,
                 from,
                 to,
-                class,
+                class: name,
                 reason: DropReason::Loss,
             });
             return;
@@ -888,14 +912,15 @@ impl<M: Payload> Simulation<M> {
         let mut depart = self.now;
         if let Some(bandwidth) = profile.bandwidth {
             let serialization = Duration::from_secs_f64(size as f64 / bandwidth as f64);
-            let busy = self.egress_busy.entry(from.node).or_insert(self.now);
+            let busy = &mut self.nodes[src as usize].egress_busy;
             let start = (*busy).max(self.now);
             *busy = start + serialization;
             depart = *busy;
         }
+        let dst = self.intern(to.node);
         let duplicate = profile.duplicate > 0.0 && self.rng.gen_f64() < profile.duplicate;
         if duplicate {
-            self.stats.class_mut(class).duplicated += 1;
+            self.stats.at_mut(class).duplicated += 1;
             let delay = self.draw_delay(&profile);
             let copy = msg.clone();
             self.schedule(
@@ -903,9 +928,10 @@ impl<M: Payload> Simulation<M> {
                 EventKind::Deliver {
                     from,
                     to,
-                    msg: copy,
+                    dst,
                     class,
                     sent_at: at,
+                    msg: copy,
                 },
             );
         }
@@ -915,9 +941,10 @@ impl<M: Payload> Simulation<M> {
             EventKind::Deliver {
                 from,
                 to,
-                msg,
+                dst,
                 class,
                 sent_at: at,
+                msg,
             },
         );
     }
@@ -939,7 +966,192 @@ impl<M: Payload> std::fmt::Debug for Simulation<M> {
         f.debug_struct("Simulation")
             .field("now", &self.now)
             .field("pending_events", &self.queue.len())
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.node_ids().len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::Port;
+
+    #[derive(Clone, Debug)]
+    struct Note(u64);
+
+    impl Payload for Note {
+        fn size_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    /// A scripted reaction to a timer.
+    type Reaction = fn(&mut Script, &mut Context<'_, Note>);
+
+    /// Records every timer tag and datagram it sees, and runs a scripted
+    /// reaction to each timer tag.
+    #[derive(Default)]
+    struct Script {
+        fired: Vec<(u64, u64)>,
+        heard: Vec<u64>,
+        on_timer: Vec<(u64, Reaction)>,
+        armed: Vec<TimerId>,
+    }
+
+    impl Process<Note> for Script {
+        fn on_start(&mut self, ctx: &mut Context<'_, Note>) {
+            ctx.set_timer_after(Duration::from_millis(1), 0);
+        }
+
+        fn on_datagram(&mut self, _: &mut Context<'_, Note>, _: Endpoint, _: Endpoint, msg: Note) {
+            self.heard.push(msg.0);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, Note>, timer: Timer) {
+            self.fired.push((ctx.now().as_micros(), timer.tag));
+            let reactions: Vec<_> = self
+                .on_timer
+                .iter()
+                .filter(|(tag, _)| *tag == timer.tag)
+                .map(|&(_, react)| react)
+                .collect();
+            for react in reactions {
+                react(self, ctx);
+            }
+        }
+    }
+
+    fn fired(sim: &Simulation<Note>, node: NodeId) -> Vec<(u64, u64)> {
+        sim.with_process(node, |s: &Script| s.fired.clone())
+            .unwrap()
+    }
+
+    #[test]
+    fn same_instant_timers_fire_in_arming_order_in_recycled_slots() {
+        let mut sim = Simulation::new(1);
+        let mut script = Script::default();
+        // Tag 0 (at 1 ms) arms tags 1..=3 two milliseconds out; tag 1
+        // fires first and frees its slot, then arms 4..=9 for the same
+        // instant as 2 and 3, some of them in recycled slots.
+        script.on_timer.push((0, |_, ctx| {
+            for tag in 1..=3 {
+                ctx.set_timer_after(Duration::from_millis(2), tag);
+            }
+        }));
+        script.on_timer.push((1, |_, ctx| {
+            for tag in 4..=9 {
+                ctx.set_timer_at(SimTime::from_millis(3), tag);
+            }
+        }));
+        sim.add_node(NodeId(1), script);
+        sim.run_until(SimTime::from_secs(1));
+        let tags: Vec<u64> = fired(&sim, NodeId(1)).iter().map(|&(_, t)| t).collect();
+        assert_eq!(tags, (0..=9).collect::<Vec<_>>());
+        assert!(sim.queue.slots() < 10, "slots were reused");
+    }
+
+    #[test]
+    fn cancelling_a_fired_timer_does_not_touch_the_event_in_its_slot() {
+        let mut sim = Simulation::new(1);
+        sim.enable_profiling();
+        let mut script = Script::default();
+        // Tag 0's slot is free while its handler runs, so the timer armed
+        // there (tag 1) takes it; cancelling tag 0 afterwards must neither
+        // squash tag 1 nor fire anything twice.
+        script.on_timer.push((0, |s, ctx| {
+            s.armed
+                .push(ctx.set_timer_after(Duration::from_millis(5), 1));
+            s.armed
+                .push(ctx.set_timer_after(Duration::from_millis(6), 2));
+        }));
+        script.on_timer.push((1, |s, ctx| {
+            // Cancel the already-fired tag 1 (its own id) and arm tag 3,
+            // which reuses tag 1's slot, for before tag 2.
+            ctx.cancel_timer(s.armed[0]);
+            ctx.set_timer_after(Duration::from_micros(500), 3);
+        }));
+        sim.add_node(NodeId(1), script);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(
+            fired(&sim, NodeId(1)),
+            vec![(1_000, 0), (6_000, 1), (6_500, 3), (7_000, 2)]
+        );
+        let profile = sim.profile().unwrap();
+        assert_eq!(profile.timer_squashed, 0);
+        assert_eq!(profile.timer_fired, 4);
+        assert_eq!(sim.queue.slots(), 2);
+    }
+
+    #[test]
+    fn a_cancelled_pending_timer_squashes_only_itself() {
+        let mut sim = Simulation::new(1);
+        sim.enable_profiling();
+        let mut script = Script::default();
+        // Tag 0 arms 1 and 2 for the same instant and cancels 1; 1 is
+        // squashed and its slot recycled by tag 3, armed by tag 2 at that
+        // same instant. Only tag 1 may be lost.
+        script.on_timer.push((0, |_, ctx| {
+            let doomed = ctx.set_timer_after(Duration::from_millis(2), 1);
+            ctx.set_timer_after(Duration::from_millis(2), 2);
+            ctx.cancel_timer(doomed);
+        }));
+        script.on_timer.push((2, |_, ctx| {
+            ctx.set_timer_after(Duration::ZERO, 3);
+            ctx.set_timer_after(Duration::from_millis(1), 4);
+        }));
+        sim.add_node(NodeId(1), script);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(
+            fired(&sim, NodeId(1)),
+            vec![(1_000, 0), (3_000, 2), (3_000, 3), (4_000, 4)]
+        );
+        let profile = sim.profile().unwrap();
+        assert_eq!(profile.timer_squashed, 1);
+        assert_eq!(profile.timers_cancelled, 1);
+        assert!(sim.cancelled.is_empty(), "the squash consumed the cancel");
+    }
+
+    /// Sends one note to `peer` every millisecond, numbered from 1.
+    struct Pinger {
+        peer: NodeId,
+        sent: u64,
+    }
+
+    impl Process<Note> for Pinger {
+        fn on_start(&mut self, ctx: &mut Context<'_, Note>) {
+            ctx.set_timer_after(Duration::from_millis(1), 0);
+        }
+
+        fn on_datagram(&mut self, _: &mut Context<'_, Note>, _: Endpoint, _: Endpoint, _: Note) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, Note>, _: Timer) {
+            self.sent += 1;
+            ctx.send(Port(1), Endpoint::new(self.peer, Port(1)), Note(self.sent));
+            ctx.set_timer_after(Duration::from_millis(1), 0);
+        }
+    }
+
+    #[test]
+    fn a_sparse_node_id_costs_one_table_slot() {
+        let far = NodeId(u32::MAX - 1);
+        let mut sim = Simulation::new(1);
+        sim.set_default_profile(LinkProfile::lan());
+        sim.add_node(NodeId(3), Pinger { peer: far, sent: 0 });
+        sim.add_node(far, Script::default());
+        sim.crash_at(SimTime::from_micros(10_100), far);
+        sim.run_until(SimTime::from_millis(20));
+        assert!(!sim.is_alive(far));
+        assert_eq!(sim.node_ids(), vec![NodeId(3), far]);
+        let heard = sim.with_process(far, |s: &Script| s.heard.clone()).unwrap();
+        assert_eq!(
+            heard,
+            (1..=9).collect::<Vec<_>>(),
+            "received until the crash"
+        );
+        assert!(sim.stats().class("default").dropped_dead > 0);
+        // Two ids, two slots: nothing is sized by the id's magnitude.
+        assert_eq!(sim.nodes.len(), 2);
+        assert!(sim.nodes.capacity() < 64);
+        assert_eq!(sim.node_index.len(), 2);
     }
 }

@@ -5,7 +5,6 @@
 //! this to verify the paper's claim that group-communication control traffic
 //! consumes less than one thousandth of the bandwidth used for video.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Counters for one traffic class.
@@ -28,9 +27,15 @@ pub struct ClassStats {
 }
 
 /// Per-class traffic counters for a whole simulation run.
+///
+/// Classes are stored in first-seen order, so a class keeps its index for
+/// the whole run: the engine resolves a datagram's class once, when it is
+/// sent, and updates the counters of every later outcome (delivery or
+/// drop) by index. A simulation has a handful of classes, so the lookup
+/// is a short scan. Reports always list classes in name order.
 #[derive(Clone, Debug, Default)]
 pub struct NetStats {
-    classes: BTreeMap<&'static str, ClassStats>,
+    classes: Vec<(&'static str, ClassStats)>,
 }
 
 impl NetStats {
@@ -39,28 +44,62 @@ impl NetStats {
         NetStats::default()
     }
 
+    /// The index of `class`, adding it with zeroed counters on first
+    /// sight. Indices are stable for the life of the counters.
+    pub(crate) fn class_index(&mut self, class: &'static str) -> usize {
+        // Class names are string literals, so the pointer test settles
+        // almost every probe; equal names at different addresses still
+        // meet in one entry.
+        let found = self
+            .classes
+            .iter()
+            .position(|(name, _)| std::ptr::eq(*name, class) || *name == class);
+        found.unwrap_or_else(|| {
+            self.classes.push((class, ClassStats::default()));
+            self.classes.len() - 1
+        })
+    }
+
+    /// The name of the class at `index`.
+    pub(crate) fn name(&self, index: usize) -> &'static str {
+        self.classes[index].0
+    }
+
+    /// The counters of the class at `index`.
+    pub(crate) fn at_mut(&mut self, index: usize) -> &mut ClassStats {
+        &mut self.classes[index].1
+    }
+
     pub(crate) fn class_mut(&mut self, class: &'static str) -> &mut ClassStats {
-        self.classes.entry(class).or_default()
+        let index = self.class_index(class);
+        self.at_mut(index)
     }
 
     /// Counters for `class`, or zeroed counters if the class never sent.
     pub fn class(&self, class: &str) -> ClassStats {
-        self.classes.get(class).copied().unwrap_or_default()
+        self.classes
+            .iter()
+            .find(|(name, _)| *name == class)
+            .map(|(_, c)| *c)
+            .unwrap_or_default()
     }
 
     /// Iterates over `(class, counters)` pairs in class-name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &ClassStats)> {
-        self.classes.iter().map(|(k, v)| (*k, v))
+        let mut sorted: Vec<(&'static str, &ClassStats)> =
+            self.classes.iter().map(|(k, v)| (*k, v)).collect();
+        sorted.sort_unstable_by_key(|(k, _)| *k);
+        sorted.into_iter()
     }
 
     /// Total bytes submitted across all classes.
     pub fn total_sent_bytes(&self) -> u64 {
-        self.classes.values().map(|c| c.sent_bytes).sum()
+        self.classes.iter().map(|(_, c)| c.sent_bytes).sum()
     }
 
     /// Total datagrams submitted across all classes.
     pub fn total_sent_msgs(&self) -> u64 {
-        self.classes.values().map(|c| c.sent_msgs).sum()
+        self.classes.iter().map(|(_, c)| c.sent_msgs).sum()
     }
 
     /// Renders all counters as CSV, one row per class, with the drop count
@@ -151,6 +190,24 @@ mod tests {
         let header = lines.next().unwrap();
         assert!(header.contains("dropped_loss,dropped_partition,dropped_dead"));
         assert_eq!(lines.next().unwrap(), "video,10,1000,6,1,2,1,3");
+    }
+
+    #[test]
+    fn indices_are_stable_and_names_merge() {
+        let mut stats = NetStats::new();
+        let video = stats.class_index("video");
+        let gcs = stats.class_index("gcs");
+        // A different allocation of an equal name is the same class.
+        let owned: &'static str = Box::leak(String::from("video").into_boxed_str());
+        assert_eq!(stats.class_index(owned), video);
+        stats.at_mut(video).sent_msgs += 3;
+        stats.at_mut(gcs).sent_msgs += 1;
+        assert_eq!(stats.class_index("aaa"), 2);
+        assert_eq!(stats.class_index("video"), video);
+        assert_eq!(stats.name(gcs), "gcs");
+        assert_eq!(stats.class("video").sent_msgs, 3);
+        let names: Vec<&str> = stats.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["aaa", "gcs", "video"]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! profile — so chaos faults can still brown out an individual WAN link
 //! with [`crate::Simulation::set_link_overrides_at`].
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 
 use crate::net::{LinkProfile, NodeId};
 
@@ -44,7 +44,7 @@ pub struct SiteTopology {
     sites: Vec<Site>,
     lan: LinkProfile,
     wan: LinkProfile,
-    site_of: HashMap<NodeId, usize>,
+    site_of: FastMap<NodeId, usize>,
 }
 
 impl SiteTopology {
@@ -55,7 +55,7 @@ impl SiteTopology {
             sites: Vec::new(),
             lan,
             wan,
-            site_of: HashMap::new(),
+            site_of: FastMap::default(),
         }
     }
 

@@ -96,6 +96,39 @@ use ftvod::bench::perf::{run_suite, BenchReport, DEFAULT_MAX_WALL_RATIO};
 use ftvod::prelude::*;
 use ftvod_mc::{explore, CheckConfig, ProtoConfig, Scenario};
 
+/// `print!` to stdout, except that a closed stdout ends the process
+/// quietly; see `write_stdout`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with the broken-pipe handling of `out!`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Exit status when the reader of stdout goes away: 128 + SIGPIPE, what a
+/// shell reports for a C tool killed by the signal.
+const BROKEN_PIPE_STATUS: i32 = 141;
+
+/// Writes to stdout. When the reader has closed the pipe (`ftvod-cli fleet
+/// | head -1`), nothing is left to report to, so the process exits at
+/// once, without the panic `print!` raises. Any other write error still
+/// panics, as `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(err) = std::io::stdout().lock().write_fmt(args) {
+        if err.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(BROKEN_PIPE_STATUS);
+        }
+        panic!("failed printing to stdout: {err}");
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct CustomOptions {
     servers: u32,
@@ -334,7 +367,7 @@ fn run_fleet(opts: &FleetOptions) -> Result<(), String> {
     let prefix_note = prefix.map_or(String::new(), |p| {
         format!(", prefix cache {}s x {}", p.prefix.as_secs(), p.budget)
     });
-    println!(
+    outln!(
         "fleet: {} servers (cap {cap}), {} sessions over {} movies, zipf {:.2}, {} replication ({} placement){prefix_note}, seed {}",
         profile.servers,
         profile.clients,
@@ -347,19 +380,22 @@ fn run_fleet(opts: &FleetOptions) -> Result<(), String> {
     let mut sim = builder.build();
     sim.run_until(end);
     let report = FleetReport::from_sim(&plan, &sim, end);
-    print!("{}", report.render());
+    out!("{}", report.render());
     if let Some(run) = sim.report() {
-        println!(
+        outln!(
             "replication: {} bring-up(s), {} retire(s)",
-            run.replica_bringups, run.replica_retires
+            run.replica_bringups,
+            run.replica_retires
         );
         if run.prefix_serves > 0 {
-            println!(
+            outln!(
                 "prefix tier: {} serve(s), {} handoff(s), {:.1}s of waiting avoided",
-                run.prefix_serves, run.prefix_handoffs, run.prefix_seconds_avoided
+                run.prefix_serves,
+                run.prefix_handoffs,
+                run.prefix_seconds_avoided
             );
         }
-        println!("\n{}", run.summary_line());
+        outln!("\n{}", run.summary_line());
     }
     write_net_csv(&sim, opts.net_csv.as_deref())
 }
@@ -479,31 +515,36 @@ fn chaos_campaign(opts: &ChaosOptions, seed: u64) -> (ChaosPlan, OracleReport) {
 }
 
 fn run_chaos(opts: &ChaosOptions) -> Result<(), String> {
-    println!(
+    outln!(
         "chaos: {} campaign(s) from seed {}, {} fault slot(s), {} session(s), sync {} ms",
-        opts.seeds, opts.seed, opts.faults, opts.clients, opts.sync_ms
+        opts.seeds,
+        opts.seed,
+        opts.faults,
+        opts.clients,
+        opts.sync_ms
     );
     let mut failing: Vec<u64> = Vec::new();
     for i in 0..opts.seeds {
         let seed = opts.seed + u64::from(i);
         let (plan, oracle) = chaos_campaign(opts, seed);
         let (crashes, partitions, bursts) = plan.kind_counts();
-        println!(
+        outln!(
             "seed {seed}: {}  [{crashes} crash/restart, {partitions} partition, {bursts} burst]",
             ftvod_core::oracle::summary_token(&oracle)
         );
         if opts.plan {
-            print!("{}", plan.render());
+            out!("{}", plan.render());
         }
         if !oracle.pass() {
-            print!("{oracle}");
+            out!("{oracle}");
             failing.push(seed);
         }
     }
     if failing.is_empty() {
-        println!(
+        outln!(
             "chaos: {}/{} campaign(s) passed the oracle",
-            opts.seeds, opts.seeds
+            opts.seeds,
+            opts.seeds
         );
         Ok(())
     } else {
@@ -649,7 +690,7 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
         // EXPERIMENTS.md E7: the three-policy table on one seed. The
         // reactive baseline runs bare; the forecast policies get the
         // prefix-cache tier they are designed to feed.
-        println!(
+        outln!(
             "flash: policy comparison on seed {}, {}x shock at {}s on movie {}",
             opts.seed,
             shock.factor,
@@ -664,9 +705,9 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
         ] {
             let outcome = flash_campaign(policy, prefix, opts.seed);
             any_fail |= !outcome.pass;
-            println!("{label:<18} {}", flash_line(&outcome));
+            outln!("{label:<18} {}", flash_line(&outcome));
             if !outcome.pass {
-                print!("{}", outcome.oracle_detail);
+                out!("{}", outcome.oracle_detail);
             }
         }
         return if any_fail {
@@ -675,7 +716,7 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
             Ok(())
         };
     }
-    println!(
+    outln!(
         "flash: {} run(s) from seed {}, predictive placement + prefix cache, {}x shock at {}s",
         opts.seeds,
         opts.seed,
@@ -686,16 +727,17 @@ fn run_flash(opts: &FlashOptions) -> Result<(), String> {
     for i in 0..opts.seeds {
         let seed = opts.seed + u64::from(i);
         let outcome = flash_campaign(PolicyKind::Predictive, true, seed);
-        println!("seed {seed}: {}", flash_line(&outcome));
+        outln!("seed {seed}: {}", flash_line(&outcome));
         if !outcome.pass {
-            print!("{}", outcome.oracle_detail);
+            out!("{}", outcome.oracle_detail);
             failing.push(seed);
         }
     }
     if failing.is_empty() {
-        println!(
+        outln!(
             "flash: {}/{} run(s) passed the oracle",
-            opts.seeds, opts.seeds
+            opts.seeds,
+            opts.seeds
         );
         Ok(())
     } else {
@@ -816,7 +858,7 @@ fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
         // home-only baseline is expected to strand the east clients (and
         // thereby fail the repair invariants), so only the failover modes
         // are gated on the oracle.
-        println!(
+        outln!(
             "multidc: failover comparison on seed {}, east site down {}s..{}s",
             opts.seed,
             MULTIDC_FAULT_AT.as_secs(),
@@ -829,10 +871,10 @@ fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
             ("remote-degraded", FailoverMode::RemoteDegraded, true),
         ] {
             let outcome = multidc_campaign(mode, opts.seed);
-            println!("{label:<16} {}", multidc_line(&outcome));
+            outln!("{label:<16} {}", multidc_line(&outcome));
             if gated && !outcome.pass {
                 any_fail = true;
-                print!("{}", outcome.oracle_detail);
+                out!("{}", outcome.oracle_detail);
             }
         }
         return if any_fail {
@@ -841,7 +883,7 @@ fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
             Ok(())
         };
     }
-    println!(
+    outln!(
         "multidc: {} run(s) from seed {}, remote-degraded failover, east site down {}s..{}s",
         opts.seeds,
         opts.seed,
@@ -852,16 +894,17 @@ fn run_multidc(opts: &MultiDcOptions) -> Result<(), String> {
     for i in 0..opts.seeds {
         let seed = opts.seed + u64::from(i);
         let outcome = multidc_campaign(FailoverMode::RemoteDegraded, seed);
-        println!("seed {seed}: {}", multidc_line(&outcome));
+        outln!("seed {seed}: {}", multidc_line(&outcome));
         if !outcome.pass {
-            print!("{}", outcome.oracle_detail);
+            out!("{}", outcome.oracle_detail);
             failing.push(seed);
         }
     }
     if failing.is_empty() {
-        println!(
+        outln!(
             "multidc: {}/{} run(s) passed the oracle",
-            opts.seeds, opts.seeds
+            opts.seeds,
+            opts.seeds
         );
         Ok(())
     } else {
@@ -990,7 +1033,7 @@ fn run_check(opts: &CheckOptions) -> Result<(), String> {
         max_states: opts.max_states,
         check_merge: true,
     };
-    println!(
+    outln!(
         "check: {} member(s), {} joiner(s), {} leaver(s), budgets {} crash / {} partition / {} drop, depth {}{}",
         scn.members,
         scn.joiners,
@@ -1006,7 +1049,7 @@ fn run_check(opts: &CheckOptions) -> Result<(), String> {
         },
     );
     let report = explore(&scn, &cfg);
-    print!("{report}");
+    out!("{report}");
     if report.pass() {
         Ok(())
     } else {
@@ -1069,20 +1112,26 @@ fn write_net_csv(sim: &VodSim, path: Option<&str>) -> Result<(), String> {
     };
     let csv = sim.net_stats().to_csv();
     std::fs::write(path, &csv).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("wrote network counters to {path}");
+    outln!("wrote network counters to {path}");
     Ok(())
 }
 
 fn summarize(sim: &VodSim, clients: &[ClientId]) {
-    println!(
+    outln!(
         "\n{:<8} {:>8} {:>10} {:>8} {:>8} {:>8} {:>8}   served by",
-        "client", "received", "displayed", "late", "skipped", "stalls", "emerg"
+        "client",
+        "received",
+        "displayed",
+        "late",
+        "skipped",
+        "stalls",
+        "emerg"
     );
     for &c in clients {
         let Some(stats) = sim.client_stats(c) else {
             continue;
         };
-        println!(
+        outln!(
             "{:<8} {:>8} {:>10} {:>8} {:>8} {:>8} {:>8}   {:?}",
             c.to_string(),
             stats.frames_received,
@@ -1094,10 +1143,10 @@ fn summarize(sim: &VodSim, clients: &[ClientId]) {
             sim.owner_of(c),
         );
         for (at, dur) in &stats.interruptions {
-            println!("         interruption at t={at:.2}s for {dur:.2}s");
+            outln!("         interruption at t={at:.2}s for {dur:.2}s");
         }
     }
-    println!("\nnetwork traffic:\n{}", sim.net_stats());
+    outln!("\nnetwork traffic:\n{}", sim.net_stats());
 }
 
 fn run_preset(which: &str, seed: u64, net_csv: Option<&str>) -> Result<(), String> {
@@ -1111,13 +1160,13 @@ fn run_preset(which: &str, seed: u64, net_csv: Option<&str>) -> Result<(), Strin
     } else {
         (("load balance", a), ("crash", b))
     };
-    println!("running the paper's {which} scenario (seed {seed}):");
-    println!("  {} at {}, {} at {}", first.0, first.1, second.0, second.1);
+    outln!("running the paper's {which} scenario (seed {seed}):");
+    outln!("  {} at {}, {} at {}", first.0, first.1, second.0, second.1);
     let mut sim = builder.build();
     sim.run_until(SimTime::from_secs(92));
     summarize(&sim, &[presets::CLIENT_ID]);
     if let Some(report) = sim.report() {
-        println!("\n{}", report.summary_line());
+        outln!("\n{}", report.summary_line());
     }
     write_net_csv(&sim, net_csv)
 }
@@ -1140,9 +1189,9 @@ fn run_trace(which: &str, seed: u64, out: Option<&str>) -> Result<(), String> {
     match out {
         Some(path) => {
             std::fs::write(path, &jsonl).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("wrote {} events to {path}", jsonl.lines().count());
+            outln!("wrote {} events to {path}", jsonl.lines().count());
         }
-        None => print!("{jsonl}"),
+        None => out!("{jsonl}"),
     }
     Ok(())
 }
@@ -1157,10 +1206,10 @@ fn run_report(which: &str, seed: u64, json: bool) -> Result<(), String> {
     let pass = oracle.pass();
     report.oracle = Some(oracle);
     if json {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
-        println!("{which} scenario, seed {seed}:\n");
-        print!("{report}");
+        outln!("{which} scenario, seed {seed}:\n");
+        out!("{report}");
     }
     if pass {
         Ok(())
@@ -1232,7 +1281,7 @@ fn run_perf(opts: &PerfOptions) -> Result<(), String> {
         }
         None => None,
     };
-    println!(
+    outln!(
         "perf: running the fixed suite (fig4_lan, fig5_wan, fleet_e3, chaos_5seeds, flash_crowd), rev {}",
         opts.rev
     );
@@ -1242,19 +1291,19 @@ fn run_perf(opts: &PerfOptions) -> Result<(), String> {
         0
     };
     let (report, flamechart) = run_suite(&opts.rev, &opts.date, capacity);
-    print!("{}", report.render_table());
+    out!("{}", report.render_table());
     let json = report.to_json(!opts.counters_only);
     std::fs::write(&opts.out, &json).map_err(|e| format!("writing {}: {e}", opts.out))?;
-    println!("wrote {}", opts.out);
+    outln!("wrote {}", opts.out);
     if let Some(path) = &opts.flamechart {
         let trace = flamechart.ok_or("the suite produced no flamechart spans")?;
         std::fs::write(path, &trace).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote flamechart to {path} (open in a Chrome-trace viewer)");
+        outln!("wrote flamechart to {path} (open in a Chrome-trace viewer)");
     }
     if let Some(baseline) = baseline {
         let regressions = BenchReport::compare(&baseline, &report, opts.max_wall_ratio);
         if regressions.is_empty() {
-            println!(
+            outln!(
                 "perf gate: no regressions against {}",
                 opts.baseline.as_deref().unwrap_or("baseline")
             );
@@ -1295,13 +1344,13 @@ fn run_custom(opts: &CustomOptions) -> Result<(), String> {
     let mut victims = servers.clone();
     for &t in &opts.crashes {
         if let Some(victim) = victims.pop() {
-            println!("scheduling crash of {victim} at t={t}s");
+            outln!("scheduling crash of {victim} at t={t}s");
             builder.crash_at(SimTime::from_secs(t), victim);
         }
     }
     for &t in &opts.shutdowns {
         if let Some(victim) = victims.pop() {
-            println!("scheduling graceful shutdown of {victim} at t={t}s");
+            outln!("scheduling graceful shutdown of {victim} at t={t}s");
             builder.shutdown_at(SimTime::from_secs(t), victim);
         }
     }
@@ -1310,7 +1359,7 @@ fn run_custom(opts: &CustomOptions) -> Result<(), String> {
     sim.run_until(SimTime::from_secs(opts.seconds));
     summarize(&sim, &clients);
     if let Some(report) = sim.report() {
-        println!("\n{}", report.summary_line());
+        outln!("\n{}", report.summary_line());
     }
     write_net_csv(&sim, opts.net_csv.as_deref())
 }
@@ -1532,14 +1581,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     if matches!(cmd, "help" | "--help" | "-h") {
-        println!(
+        outln!(
             "{}",
             usage_for(args.get(1).map_or("overview", String::as_str))
         );
         return ExitCode::SUCCESS;
     }
     if wants_help(&args[1..]) {
-        println!("{}", usage_for(cmd));
+        outln!("{}", usage_for(cmd));
         return ExitCode::SUCCESS;
     }
     match cmd {
