@@ -547,7 +547,7 @@ impl Process<VodWire> for VodClient {
         match msg {
             VodWire::Video(pkt) => self.handle_video(ctx, pkt),
             VodWire::Gcs(pkt) => {
-                let events = self.gcs.on_packet(ctx, from, pkt);
+                let events = self.gcs.on_packet(ctx, from, *pkt);
                 self.handle_events(ctx.now(), events);
             }
         }

@@ -12,6 +12,7 @@
 //! [`VodWire`] is the top-level message enum the whole simulation runs on.
 
 use std::fmt;
+use std::rc::Rc;
 
 use gcs::{GcsPacket, GroupId};
 use media::{FrameMeta, FrameNo, MovieId};
@@ -175,8 +176,11 @@ pub enum ControlPayload {
         /// View epoch this report was generated in (used to collect the
         /// state-exchange round that follows a membership change).
         view_epoch: u64,
-        /// Records of the clients this server currently owns.
-        records: Vec<ClientRecord>,
+        /// Records of the clients this server currently owns. Shared, not
+        /// owned: the GCS copies a payload into its send buffer, flush
+        /// reports, cut fill and install resends, and a record list is by
+        /// far the largest control payload.
+        records: Rc<[ClientRecord]>,
     },
     /// Server → movie group: a client's session ended (stop or departure).
     Remove {
@@ -322,10 +326,14 @@ impl Payload for VideoPacket {
 
 /// Top-level wire type of the simulation: either a GCS packet carrying a
 /// control payload, or a raw video frame.
+///
+/// The GCS packet is boxed: it is rare next to video frames but many
+/// times their size, and every queued event is as large as the largest
+/// variant. Boxed, the enum is 24 bytes (a size the unit tests pin).
 #[derive(Clone, PartialEq, Debug)]
 pub enum VodWire {
     /// Group-communication traffic (control plane).
-    Gcs(GcsPacket<ControlPayload>),
+    Gcs(Box<GcsPacket<ControlPayload>>),
     /// Video frames (data plane).
     Video(VideoPacket),
 }
@@ -348,7 +356,7 @@ impl Payload for VodWire {
 
 impl From<GcsPacket<ControlPayload>> for VodWire {
     fn from(pkt: GcsPacket<ControlPayload>) -> Self {
-        VodWire::Gcs(pkt)
+        VodWire::Gcs(Box::new(pkt))
     }
 }
 
@@ -372,6 +380,14 @@ mod tests {
     }
 
     #[test]
+    fn wire_enum_stays_at_24_bytes() {
+        // Every queued datagram is as large as the largest `VodWire`
+        // variant; an unboxed control variant would inflate the 2.5M
+        // video frames of a fleet run along with it.
+        assert!(std::mem::size_of::<VodWire>() <= 24);
+    }
+
+    #[test]
     fn sync_payload_size_is_a_few_dozen_bytes_per_client() {
         let record = ClientRecord {
             client: ClientId(1),
@@ -390,7 +406,7 @@ mod tests {
             server: NodeId(1),
             movie: MovieId(1),
             view_epoch: 2,
-            records: vec![record],
+            records: Rc::from([record]),
         };
         assert_eq!(payload.size_bytes(), 16 + 44);
         assert_eq!(payload.class(), "vod-sync");

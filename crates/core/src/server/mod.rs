@@ -17,6 +17,7 @@ pub use assign::{assign_clients, assign_clients_geo, assign_clients_with_capacit
 pub use emergency::Emergency;
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -603,7 +604,7 @@ impl VodServer {
                     server: node,
                     movie: open.movie,
                     view_epoch: state.view.id.epoch,
-                    records: vec![*existing],
+                    records: Rc::from([*existing]),
                 };
                 self.multicast(ctx, movie_group(open.movie), payload);
                 return;
@@ -643,7 +644,7 @@ impl VodServer {
             server: node,
             movie: open.movie,
             view_epoch: state.view.id.epoch,
-            records: vec![record],
+            records: Rc::from([record]),
         };
         self.multicast(ctx, movie_group(open.movie), payload);
     }
@@ -654,12 +655,12 @@ impl VodServer {
         server: NodeId,
         movie_id: MovieId,
         view_epoch: u64,
-        records: Vec<ClientRecord>,
+        records: Rc<[ClientRecord]>,
     ) {
         let Some(state) = self.movies.get_mut(&movie_id) else {
             return;
         };
-        for record in records {
+        for &record in records.iter() {
             if let Some(&removed_at) = state.tombstones.get(&record.client) {
                 if record.updated_at <= removed_at {
                     continue; // stale report of an ended session
@@ -1211,7 +1212,7 @@ impl VodServer {
             server: node,
             movie: movie_id,
             view_epoch: state.view.id.epoch,
-            records: report,
+            records: report.into(),
         };
         self.stats.syncs_sent += 1;
         self.multicast(ctx, movie_group(movie_id), payload);
@@ -1730,7 +1731,7 @@ impl VodServer {
             server: node,
             movie,
             view_epoch: epoch,
-            records: vec![published],
+            records: Rc::from([published]),
         };
         self.multicast(ctx, movie_group(movie), payload);
         Some(owner)
@@ -2030,7 +2031,7 @@ impl Process<VodWire> for VodServer {
     ) {
         match msg {
             VodWire::Gcs(pkt) => {
-                let events = self.gcs.on_packet(ctx, from, pkt);
+                let events = self.gcs.on_packet(ctx, from, *pkt);
                 self.handle_events(ctx, events);
             }
             VodWire::Video(_) => {} // servers do not consume video

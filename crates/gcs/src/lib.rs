@@ -115,6 +115,7 @@ mod node;
 mod packet;
 pub mod proto;
 mod types;
+mod work;
 
 pub use node::{GcsNode, GcsTrace, NotMemberError};
 pub use packet::{Carried, GcsPacket, HEADER_BYTES};

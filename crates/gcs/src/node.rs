@@ -37,7 +37,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::ops::Bound;
 
 use simnet::{Context, Endpoint, NodeId, Payload, Port, SimTime, Timer};
 
@@ -47,6 +46,7 @@ use crate::proto::{
     ProtoConfig, ProtoEvent, ProtoMsg,
 };
 use crate::types::{GcsConfig, GcsEvent, GroupId, View, ViewId};
+use crate::work::{PeerTable, Worklist};
 
 /// Error returned when multicasting to a group the node is not (and is not
 /// becoming) a member of.
@@ -130,6 +130,10 @@ struct RecvState<P> {
     next: u64,
     /// Out-of-order buffer.
     buf: BTreeMap<u64, Carried<P>>,
+    /// Delivered messages kept until they are stable, for flush reports.
+    /// Deliveries are contiguous and pruning takes a prefix, so these are
+    /// exactly sequence numbers `next - retained.len() .. next`.
+    retained: VecDeque<Carried<P>>,
 }
 
 impl<P> RecvState<P> {
@@ -137,7 +141,14 @@ impl<P> RecvState<P> {
         RecvState {
             next,
             buf: BTreeMap::new(),
+            retained: VecDeque::new(),
         }
+    }
+
+    /// The retained messages with their sequence numbers, ascending.
+    fn retained(&self) -> impl Iterator<Item = (u64, &Carried<P>)> {
+        let first = self.next - self.retained.len() as u64;
+        (first..).zip(&self.retained)
     }
 }
 
@@ -202,9 +213,11 @@ struct GroupState<P> {
     join_start_tick: u64,
     last_join_send_tick: u64,
     next_seq: u64,
-    send_buf: BTreeMap<u64, Carried<P>>,
+    /// Own multicasts not yet stable: sequence numbers
+    /// `next_seq - send_buf.len() .. next_seq` (sends are numbered
+    /// contiguously and pruning takes a prefix).
+    send_buf: VecDeque<Carried<P>>,
     recv: BTreeMap<NodeId, RecvState<P>>,
-    retained: BTreeMap<(NodeId, u64), Carried<P>>,
     /// Each member's last reported delivery floors, as sent in its `Ack`
     /// (see [`floor_of`]).
     ack_floors: BTreeMap<NodeId, Vec<(NodeId, u64)>>,
@@ -232,6 +245,11 @@ struct GroupState<P> {
     /// row so that a single lost datagram cannot strand a member in the
     /// old view (installs are idempotent).
     install_resend: Option<InstallResend<P>>,
+    /// The view members (this node excluded) and the activity this group
+    /// last counted into the node's [`PeerTable`]; see
+    /// [`GcsNode::sync_group`].
+    counted: Vec<NodeId>,
+    counted_active: bool,
 }
 
 struct InstallResend<P> {
@@ -262,9 +280,8 @@ impl<P> GroupState<P> {
             join_start_tick: 0,
             last_join_send_tick: 0,
             next_seq: 1,
-            send_buf: BTreeMap::new(),
+            send_buf: VecDeque::new(),
             recv: BTreeMap::new(),
-            retained: BTreeMap::new(),
             ack_floors: BTreeMap::new(),
             pending_sends: VecDeque::new(),
             next_order_seq: 1,
@@ -277,6 +294,8 @@ impl<P> GroupState<P> {
             foreign_seen: BTreeMap::new(),
             last_nak_tick: BTreeMap::new(),
             install_resend: None,
+            counted: Vec::new(),
+            counted_active: false,
         }
     }
 
@@ -286,6 +305,24 @@ impl<P> GroupState<P> {
             .iter()
             .map(|(&n, &c)| (n, c))
             .collect()
+    }
+
+    /// The send buffer with its sequence numbers, ascending.
+    fn sent(&self) -> impl Iterator<Item = (u64, &Carried<P>)> {
+        self.sent_range(1, u64::MAX)
+    }
+
+    /// The buffered sends numbered `from..=to`, ascending.
+    fn sent_range(&self, from: u64, to: u64) -> impl Iterator<Item = (u64, &Carried<P>)> {
+        // Send `first + i` sits at index `i`.
+        let first = self.next_seq - self.send_buf.len() as u64;
+        let (lo, hi) = (from.max(first), to.min(self.next_seq - 1));
+        let range = if lo <= hi {
+            (lo - first) as usize..(hi - first + 1) as usize
+        } else {
+            0..0
+        };
+        (lo..).zip(self.send_buf.range(range))
     }
 
     /// Highest contiguously delivered sequence per sender (self included).
@@ -305,13 +342,15 @@ impl<P> GroupState<P> {
     where
         P: Clone,
     {
-        let mut held: Vec<(NodeId, u64, Carried<P>)> = self
-            .send_buf
-            .iter()
-            .map(|(&seq, p)| (me, seq, p.clone()))
-            .collect();
-        for (&(sender, seq), p) in &self.retained {
-            held.push((sender, seq, p.clone()));
+        let kept: usize = self
+            .recv
+            .values()
+            .map(|r| r.retained.len() + r.buf.len())
+            .sum();
+        let mut held = Vec::with_capacity(self.send_buf.len() + kept);
+        held.extend(self.sent().map(|(seq, p)| (me, seq, p.clone())));
+        for (&sender, state) in &self.recv {
+            held.extend(state.retained().map(|(seq, p)| (sender, seq, p.clone())));
         }
         for (&sender, state) in &self.recv {
             for (&seq, p) in &state.buf {
@@ -334,11 +373,18 @@ pub struct GcsNode<P: Payload> {
     bootstrap: Vec<NodeId>,
     ticks: u64,
     started: bool,
-    last_heard: BTreeMap<NodeId, SimTime>,
+    /// Every node listed in a local view, with its last-heard time (and
+    /// that of every other node heard from).
+    peers: PeerTable,
     suspected: BTreeSet<NodeId>,
     groups: BTreeMap<GroupId, GroupState<P>>,
+    /// Which groups each tick pass must visit.
+    work: Work,
     next_nonmember_id: u64,
     nonmember_seen: BTreeMap<(NodeId, u64), u64>,
+    /// Every insertion into `nonmember_seen`, oldest first, so that the
+    /// prune pops expired entries instead of scanning the map.
+    nonmember_expiry: VecDeque<(u64, (NodeId, u64))>,
     forced_gaps: u64,
     views_installed: u64,
     /// Events produced in contexts that cannot return them directly
@@ -354,11 +400,32 @@ pub struct GcsNode<P: Payload> {
     /// points without a context (e.g. [`GcsNode::create_group`]) stamp
     /// trace events.
     trace_now: SimTime,
-    /// Reusable buffer for the per-tick peer sets; see
-    /// [`GcsNode::take_peers`].
-    peer_scratch: Vec<NodeId>,
     /// Reusable buffer for the per-sender stable floors of `on_ack`.
     stable_scratch: Vec<(NodeId, u64)>,
+}
+
+/// The groups each housekeeping pass visits. A list may also hold groups
+/// with nothing to do, which the pass drops when it visits them. Groups
+/// enter a list where the state that gives them work is created;
+/// DESIGN.md §5j lists the sites.
+#[derive(Debug, Default)]
+struct Work {
+    /// Joining or leaving groups (`tick_joins`).
+    joins: Worklist,
+    /// Groups with out-of-order receive buffers (`tick_naks`).
+    gaps: Worklist,
+    /// Open flush rounds and install resends (`tick_resends`).
+    resends: Worklist,
+    /// Unsequenced agreed requests (`tick_order_resends`).
+    orders: Worklist,
+    /// Groups with foreign views on a freshness clock (`tick_prune`).
+    foreign: Worklist,
+    /// Groups whose flush may time out or whose election may propose a
+    /// change (`tick_view_changes`): every flushing or joining group,
+    /// every group with an open round or pending joiners, leavers or
+    /// foreign views, and every group whose election inputs changed since
+    /// the pass last found it idle.
+    views: Worklist,
 }
 
 impl<P: Payload> fmt::Debug for GcsNode<P> {
@@ -393,11 +460,13 @@ impl<P: Payload> GcsNode<P> {
             bootstrap,
             ticks: 0,
             started: false,
-            last_heard: BTreeMap::new(),
+            peers: PeerTable::default(),
             suspected: BTreeSet::new(),
             groups: BTreeMap::new(),
+            work: Work::default(),
             next_nonmember_id: 1,
             nonmember_seen: BTreeMap::new(),
+            nonmember_expiry: VecDeque::new(),
             forced_gaps: 0,
             views_installed: 0,
             deferred_events: Vec::new(),
@@ -405,7 +474,6 @@ impl<P: Payload> GcsNode<P> {
             proto_cfg: ProtoConfig::default(),
             proto_probe: None,
             trace_now: SimTime::ZERO,
-            peer_scratch: Vec::new(),
             stable_scratch: Vec::new(),
         }
     }
@@ -522,6 +590,7 @@ impl<P: Payload> GcsNode<P> {
         let Some(view) = state.mem.create(node) else {
             return Vec::new();
         };
+        self.sync_group(group);
         self.views_installed += 1;
         let at = self.trace_now;
         self.trace(|| GcsTrace::ViewInstalled {
@@ -551,6 +620,8 @@ impl<P: Payload> GcsNode<P> {
         }
         state.join_start_tick = ticks;
         state.last_join_send_tick = ticks;
+        self.sync_group(group);
+        self.work.joins.add(group);
         let at = ctx.now();
         self.trace_now = at;
         self.trace(|| GcsTrace::JoinRequested { at, group });
@@ -586,11 +657,13 @@ impl<P: Payload> GcsNode<P> {
         }
         if start == LeaveStart::Dissolve {
             // Sole member: dissolve immediately.
-            self.groups.remove(&group);
+            self.remove_group(group);
             return;
         }
         state.leave_tick = ticks;
         state.last_leave_send_tick = ticks;
+        self.work.joins.add(group);
+        self.work.views.add(group);
         let at = ctx.now();
         self.trace_now = at;
         self.trace(|| GcsTrace::LeaveRequested { at, group });
@@ -673,6 +746,7 @@ impl<P: Payload> GcsNode<P> {
             state.pending_order.insert(seq, payload.clone());
             (seq, state.mem.view.coordinator_candidate())
         };
+        self.work.orders.add(group);
         match sequencer {
             Some(seq_node) if seq_node == node => {
                 Ok(self.on_order_req(ctx, group, node, origin_seq, payload))
@@ -852,9 +926,10 @@ impl<P: Payload> GcsNode<P> {
     {
         let peer = from.node;
         self.trace_now = ctx.now();
-        self.last_heard.insert(peer, ctx.now());
-        if self.suspected.remove(&peer) {
+        self.peers.heard(peer, ctx.now());
+        if !self.suspected.is_empty() && self.suspected.remove(&peer) {
             self.probe(None, || ProtoEvent::Unsuspect(peer));
+            self.suspicion_changed(peer);
         }
         if self.proto_probe.is_some() {
             if let Some((group, msg)) = proto_msg_of(&pkt) {
@@ -869,7 +944,9 @@ impl<P: Payload> GcsNode<P> {
             }
             GcsPacket::LeaveReq { group, leaver } => {
                 if let Some(state) = self.groups.get_mut(&group) {
-                    state.mem.on_leave_req(leaver);
+                    if state.mem.on_leave_req(leaver) {
+                        self.work.views.add(group);
+                    }
                 }
                 Vec::new()
             }
@@ -983,6 +1060,8 @@ impl<P: Payload> GcsNode<P> {
             self.tick_announces(ctx);
         }
         events.append(&mut self.deferred_events);
+        #[cfg(debug_assertions)]
+        self.check_books();
         events
     }
 
@@ -1003,7 +1082,7 @@ impl<P: Payload> GcsNode<P> {
         let state = self.group_mut(group);
         let seq = state.next_seq;
         state.next_seq += 1;
-        state.send_buf.insert(seq, payload.clone());
+        state.send_buf.push_back(payload.clone());
         let peers: Vec<NodeId> = state
             .mem
             .view
@@ -1150,10 +1229,13 @@ impl<P: Payload> GcsNode<P> {
         if status == GroupStatus::Member {
             // Deliver contiguously; flushing/joining nodes only buffer.
             while let Some(payload) = recv.buf.remove(&recv.next) {
-                state.retained.insert((origin, recv.next), payload.clone());
+                recv.retained.push_back(payload.clone());
                 recv.next += 1;
                 delivered.push(payload);
             }
+        }
+        if !recv.buf.is_empty() {
+            self.work.gaps.add(group);
         }
         let mut events = Vec::new();
         for carried in delivered {
@@ -1206,9 +1288,8 @@ impl<P: Payload> GcsNode<P> {
             return;
         };
         let resend: Vec<(u64, Carried<P>)> = state
-            .send_buf
-            .range(from_seq..=to_seq)
-            .map(|(&s, p)| (s, p.clone()))
+            .sent_range(from_seq, to_seq)
+            .map(|(s, p)| (s, p.clone()))
             .collect();
         for (seq, payload) in resend {
             self.emit(
@@ -1280,70 +1361,66 @@ impl<P: Payload> GcsNode<P> {
         };
         state.ack_floors.insert(member, delivered);
         // Stability: a message is stable once every current member has
-        // delivered it; only then may retained copies be dropped.
-        if state.mem.view.members.is_empty() {
+        // delivered it; only then may retained copies be dropped. With
+        // nothing held there is nothing to drop, and the floors just
+        // stored are all a later ack needs.
+        if state.mem.view.members.is_empty()
+            || (state.send_buf.is_empty() && state.recv.values().all(|r| r.retained.is_empty()))
+        {
             return;
         }
-        let stable_floor = |sender: NodeId| -> Option<u64> {
-            let min_floor = state
-                .mem
-                .view
-                .members
-                .iter()
-                .map(|&m| {
-                    if m == node {
-                        if sender == node {
-                            state.next_seq - 1
-                        } else {
-                            state.recv.get(&sender).map_or(0, |r| r.next - 1)
-                        }
-                    } else {
-                        state
-                            .ack_floors
-                            .get(&m)
-                            .and_then(|f| floor_of(f, sender))
-                            .unwrap_or(0)
-                    }
-                })
-                .min()
-                .unwrap_or(u64::MAX);
-            (min_floor > 0 && min_floor < u64::MAX).then_some(min_floor)
-        };
-        // Every sender but this node, ascending (the receive map's order),
-        // with its stable floor; this node's own floor apart.
+        // A sender's stable floor is the minimum over the view's members of
+        // their delivery floors for it: this node's from its own state, the
+        // others' from their last acks (0 while unreported). Computed for
+        // every sender at once, one member at a time: `stable` holds every
+        // sender but this node, ascending (the receive map's order), and
+        // `own` this node's own stream. A floor of 0 (or of no member at
+        // all) makes nothing stable.
+        let members = &state.mem.view.members;
+        let listed = members.contains(&node);
         let stable = &mut self.stable_scratch;
         stable.clear();
         stable.extend(
             state
                 .recv
-                .keys()
-                .filter(|&&sender| sender != node)
-                .filter_map(|&sender| stable_floor(sender).map(|floor| (sender, floor))),
+                .iter()
+                .filter(|(&sender, _)| sender != node)
+                .map(|(&sender, r)| (sender, if listed { r.next - 1 } else { u64::MAX })),
         );
-        let own = stable_floor(node);
+        let mut own = if listed { state.next_seq - 1 } else { u64::MAX };
+        for &m in members.iter().filter(|&&m| m != node) {
+            let floors = state.ack_floors.get(&m);
+            let reported = |sender: NodeId| floors.and_then(|f| floor_of(f, sender)).unwrap_or(0);
+            for (sender, min) in stable.iter_mut() {
+                *min = (*min).min(reported(*sender));
+            }
+            own = own.min(reported(node));
+        }
+        let usable = |floor: u64| (floor > 0 && floor < u64::MAX).then_some(floor);
+        let own = usable(own);
         let floor = |sender: NodeId| -> u64 {
             if sender == node {
                 own.unwrap_or(0)
             } else {
                 stable
                     .binary_search_by_key(&sender, |&(s, _)| s)
-                    .map_or(0, |i| stable[i].1)
+                    .ok()
+                    .and_then(|i| usable(stable[i].1))
+                    .unwrap_or(0)
             }
         };
-        if let Some(own) = own {
-            // The send buffer is keyed by sequence number: the stable
-            // prefix is exactly the entries up to the floor.
-            while let Some(entry) = state.send_buf.first_entry() {
-                if *entry.key() > own {
-                    break;
-                }
-                entry.remove();
-            }
-        }
-        if !state.retained.is_empty() {
-            state
-                .retained
-                .retain(|&(sender, seq), _| seq > floor(sender));
+        // Both buffers hold consecutive sequence numbers: the stable part
+        // is a prefix, up to the floor.
+        let stable_prefix = |first: u64, len: usize, floor: u64| {
+            ((floor + 1).saturating_sub(first)).min(len as u64) as usize
+        };
+        let first = state.next_seq - state.send_buf.len() as u64;
+        let n = stable_prefix(first, state.send_buf.len(), own.unwrap_or(0));
+        state.send_buf.drain(..n);
+        for (&sender, r) in state.recv.iter_mut() {
+            let first = r.next - r.retained.len() as u64;
+            let n = stable_prefix(first, r.retained.len(), floor(sender));
+            r.retained.drain(..n);
         }
     }
 
@@ -1363,7 +1440,9 @@ impl<P: Payload> GcsNode<P> {
             return;
         };
         // Relay to the coordinator in case the joiner does not know it.
-        if let Some(coord) = state.mem.on_join_req(node, &self.suspected, joiner) {
+        let relay = state.mem.on_join_req(node, &self.suspected, joiner);
+        self.work.views.add(group);
+        if let Some(coord) = relay {
             self.emit(ctx, coord, GcsPacket::JoinReq { group, joiner });
         }
     }
@@ -1394,6 +1473,7 @@ impl<P: Payload> GcsNode<P> {
         let delivered = state.floors(node);
         let held = state.held(node);
         let causal = state.causal_snapshot();
+        self.sync_group(group);
         self.emit(
             ctx,
             vid.coordinator,
@@ -1514,6 +1594,7 @@ impl<P: Payload> GcsNode<P> {
             causal: causal_vec.clone(),
             remaining: 3,
         });
+        self.work.resends.add(group);
         self.on_install(ctx, group, view, cut_vec, fill, causal_vec)
     }
 
@@ -1547,13 +1628,13 @@ impl<P: Payload> GcsNode<P> {
                     group,
                     view: view.clone(),
                 });
-                self.groups.remove(&group);
+                self.remove_group(group);
                 return events;
             }
             InstallDecision::Adopt => {}
         }
         {
-            let state = self.group_mut(group);
+            let state = self.groups.get_mut(&group).expect("adopting group exists");
             let was_member = state.mem.had_view;
             let cut: BTreeMap<NodeId, u64> = cut.into_iter().collect();
             // Merge the fill into receive buffers.
@@ -1567,6 +1648,7 @@ impl<P: Payload> GcsNode<P> {
                     .or_insert_with(|| RecvState::new(1));
                 if seq >= recv.next {
                     recv.buf.entry(seq).or_insert(payload);
+                    self.work.gaps.add(group);
                 }
             }
             for (&sender, &horizon) in &cut {
@@ -1607,7 +1689,9 @@ impl<P: Payload> GcsNode<P> {
             let state = self.group_mut(group);
             // Keep receive state only for members of the new view.
             state.recv.retain(|sender, _| view.contains(*sender));
-            state.retained.clear();
+            for r in state.recv.values_mut() {
+                r.retained.clear();
+            }
             state.ack_floors.clear();
             state.last_nak_tick.clear();
             state.mem.apply_install(node, &view);
@@ -1618,6 +1702,7 @@ impl<P: Payload> GcsNode<P> {
                 .foreign_seen
                 .retain(|n, _| state.mem.foreign.contains_key(n));
         }
+        self.sync_group(group);
         self.forced_gaps += forced;
         self.views_installed += 1;
         // Unwrap the deliveries that completed the old view (bookkeeping
@@ -1683,8 +1768,10 @@ impl<P: Payload> GcsNode<P> {
         let members = self.groups[&group].mem.view.members.clone();
         for m in members {
             if m != node {
-                self.last_heard.insert(m, now);
-                self.suspected.remove(&m);
+                self.peers.heard(m, now);
+                if self.suspected.remove(&m) {
+                    self.suspicion_changed(m);
+                }
             }
         }
         events
@@ -1720,6 +1807,8 @@ impl<P: Payload> GcsNode<P> {
             AnnounceOutcome::Resync => AnnounceReaction::Resync,
             AnnounceOutcome::Foreign => {
                 state.foreign_seen.insert(from, ticks);
+                self.work.foreign.add(group);
+                self.work.views.add(group);
                 AnnounceReaction::None
             }
             AnnounceOutcome::JoinContact => {
@@ -1744,6 +1833,7 @@ impl<P: Payload> GcsNode<P> {
             return Vec::new();
         }
         let ticks = self.ticks;
+        self.nonmember_expiry.push_back((ticks, (origin, msg_id)));
         if self
             .nonmember_seen
             .insert((origin, msg_id), ticks)
@@ -1765,91 +1855,40 @@ impl<P: Payload> GcsNode<P> {
     fn tick_failure_detector<M: Payload>(&mut self, ctx: &mut Context<'_, M>) {
         let now = ctx.now();
         let timeout = self.config.suspect_timeout;
-        let peers = self.take_peers(|_| true);
-        for &peer in &peers {
-            let heard = self.last_heard.get(&peer).copied();
-            match heard {
+        for i in 0..self.peers.peers().len() {
+            let peer = self.peers.peers()[i].node;
+            match self.peers.peers()[i].last_heard {
                 Some(at) if now.saturating_since(at) > timeout => {
                     if self.suspected.insert(peer) {
                         self.probe(None, || ProtoEvent::Suspect(peer));
                         self.trace(|| GcsTrace::Suspected { at: now, peer });
+                        self.suspicion_changed(peer);
                     }
                 }
                 Some(_) => {
                     // Recently heard: clear any stale suspicion (e.g. one
                     // acquired across an old partition).
-                    if self.suspected.remove(&peer) {
+                    if !self.suspected.is_empty() && self.suspected.remove(&peer) {
                         self.probe(None, || ProtoEvent::Unsuspect(peer));
+                        self.suspicion_changed(peer);
                     }
                 }
                 None => {
-                    self.last_heard.insert(peer, now);
+                    self.peers.peer_mut(i).last_heard = Some(now);
                 }
             }
         }
-        self.peer_scratch = peers;
     }
 
+    /// Heartbeats every member of a `Member` or `Flushing` group's view,
+    /// ascending and once each.
     fn tick_heartbeats<M>(&mut self, ctx: &mut Context<'_, M>)
     where
         M: Payload + From<GcsPacket<P>>,
     {
-        let peers = self.take_peers(|state| {
-            matches!(
-                state.mem.status,
-                GroupStatus::Member | GroupStatus::Flushing
-            )
-        });
-        for &peer in &peers {
-            self.emit(ctx, peer, GcsPacket::Heartbeat);
+        for peer in self.peers.peers().iter().filter(|p| p.active > 0) {
+            self.emit(ctx, peer.node, GcsPacket::Heartbeat);
         }
-        self.peer_scratch = peers;
-    }
-
-    /// Every member of the views of the groups `include` selects, other
-    /// than this node, ascending and without repeats. Built in the
-    /// reusable `peer_scratch` buffer, which the caller hands back when
-    /// done, so a tick allocates nothing once the buffer has grown.
-    fn take_peers(&mut self, include: impl Fn(&GroupState<P>) -> bool) -> Vec<NodeId> {
-        let mut peers = std::mem::take(&mut self.peer_scratch);
-        peers.clear();
-        for state in self.groups.values().filter(|s| include(s)) {
-            peers.extend(
-                state
-                    .mem
-                    .view
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|&m| m != self.node),
-            );
-        }
-        peers.sort_unstable();
-        peers.dedup();
-        peers
-    }
-
-    /// The first group after `after` (or the first group at all), in
-    /// group-id order, for which `pending` holds.
-    ///
-    /// Tick passes walk the groups with this cursor, so a pass allocates
-    /// nothing and does work only where some is pending. A pass's
-    /// per-group work does nothing to a group with nothing pending, so
-    /// skipping such groups is exact; and because the predicate is
-    /// evaluated against the state as the walk reaches each group, work
-    /// done for one group (a suspicion raised by a flush timeout, say) is
-    /// seen by the groups after it, as in a walk over every group. No pass
-    /// adds or removes groups while it walks.
-    fn next_group(
-        &self,
-        after: Option<GroupId>,
-        pending: impl Fn(&GroupState<P>) -> bool,
-    ) -> Option<GroupId> {
-        let rest = match after {
-            None => self.groups.range(..),
-            Some(g) => self.groups.range((Bound::Excluded(g), Bound::Unbounded)),
-        };
-        rest.filter(|(_, s)| pending(s)).map(|(&g, _)| g).next()
     }
 
     fn tick_acks<M>(&mut self, ctx: &mut Context<'_, M>)
@@ -1884,10 +1923,18 @@ impl<P: Payload> GcsNode<P> {
     {
         let ticks = self.ticks;
         let mut naks: Vec<(GroupId, NodeId, u64, u64)> = Vec::new();
-        for (&group, state) in &mut self.groups {
+        let mut cursor = None;
+        while let Some(group) = self.work.gaps.next(cursor) {
+            cursor = Some(group);
+            let state = self.groups.get_mut(&group).expect("listed group exists");
+            if state.recv.values().all(|r| r.buf.is_empty()) {
+                self.work.gaps.remove(group);
+                continue;
+            }
             if state.mem.status != GroupStatus::Member {
                 continue;
             }
+            let first_nak = naks.len();
             for (&sender, recv) in &state.recv {
                 if let Some(&first) = recv.buf.keys().next() {
                     if first > recv.next {
@@ -1898,8 +1945,7 @@ impl<P: Payload> GcsNode<P> {
                     }
                 }
             }
-            for &(g, sender, _, _) in naks.iter().filter(|n| n.0 == group) {
-                debug_assert_eq!(g, group);
+            for &(_, sender, _, _) in &naks[first_nak..] {
                 state.last_nak_tick.insert(sender, ticks.max(1));
             }
         }
@@ -1928,14 +1974,21 @@ impl<P: Payload> GcsNode<P> {
         let node = self.node;
         let ticks = self.ticks;
         let mut cursor = None;
-        while let Some(group) = self.next_group(cursor, |s| {
-            s.install_resend.is_some()
+        while let Some(group) = self.work.resends.next(cursor) {
+            cursor = Some(group);
+            let s = &self.groups[&group];
+            if s.install_resend.is_none() && s.mem.flush.is_none() && s.vc.is_none() {
+                self.work.resends.remove(group);
+                continue;
+            }
+            let due = s.install_resend.is_some()
                 || (s.mem.flush.is_some()
                     && s.vc
                         .as_ref()
-                        .is_some_and(|vc| ticks.saturating_sub(vc.last_prepare_tick) >= 2))
-        }) {
-            cursor = Some(group);
+                        .is_some_and(|vc| ticks.saturating_sub(vc.last_prepare_tick) >= 2));
+            if !due {
+                continue;
+            }
             // Re-send pending Prepares.
             let prepare: Option<(ViewId, Vec<NodeId>, Vec<NodeId>)> = {
                 let state = self.group_mut(group);
@@ -2027,8 +2080,15 @@ impl<P: Payload> GcsNode<P> {
         let mut resend: Vec<(GroupId, NodeId, u64, P)> = Vec::new();
         let mut local: Vec<(GroupId, u64, P)> = Vec::new();
         let mut stalled: Vec<(GroupId, usize)> = Vec::new();
-        for (&group, state) in &self.groups {
-            if state.mem.status != GroupStatus::Member || state.pending_order.is_empty() {
+        let groups = &self.groups;
+        self.work.orders.retain(|group| {
+            groups
+                .get(&group)
+                .is_some_and(|s| !s.pending_order.is_empty())
+        });
+        for group in self.work.orders.iter() {
+            let state = &self.groups[&group];
+            if state.mem.status != GroupStatus::Member {
                 continue;
             }
             stalled.push((group, state.pending_order.len()));
@@ -2077,13 +2137,18 @@ impl<P: Payload> GcsNode<P> {
         let join_retry_ticks = self.config.join_retry_ticks;
         let singleton_form_ticks = self.config.singleton_form_ticks;
         let mut events = Vec::new();
-        let joining: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| s.mem.status == GroupStatus::Joining)
-            .map(|(&g, _)| g)
-            .collect();
-        for group in joining {
+        let groups = &self.groups;
+        self.work.joins.retain(|group| {
+            groups
+                .get(&group)
+                .is_some_and(|s| s.mem.status == GroupStatus::Joining || s.mem.leaving)
+        });
+        let mut cursor = None;
+        while let Some(group) = self.work.joins.next(cursor) {
+            cursor = Some(group);
+            if self.groups[&group].mem.status != GroupStatus::Joining {
+                continue;
+            }
             let (resend, form_singleton) = {
                 let state = self.group_mut(group);
                 let resend = ticks.saturating_sub(state.last_join_send_tick) >= join_retry_ticks;
@@ -2097,6 +2162,7 @@ impl<P: Payload> GcsNode<P> {
                 let Some(view) = state.mem.singleton_form(node) else {
                     continue;
                 };
+                self.sync_group(group);
                 self.views_installed += 1;
                 let at = self.trace_now;
                 self.trace(|| GcsTrace::ViewInstalled {
@@ -2137,14 +2203,16 @@ impl<P: Payload> GcsNode<P> {
         // and stalled until the force-quit. Track the last send explicitly
         // and retry while flushing too.
         let leave_retries: Vec<(GroupId, NodeId)> = self
-            .groups
+            .work
+            .joins
             .iter()
+            .map(|g| (g, &self.groups[&g]))
             .filter(|(_, s)| {
                 s.mem.leaving
                     && matches!(s.mem.status, GroupStatus::Member | GroupStatus::Flushing)
                     && ticks.saturating_sub(s.last_leave_send_tick) >= join_retry_ticks
             })
-            .filter_map(|(&g, s)| s.mem.leave_target(node, &self.suspected).map(|t| (g, t)))
+            .filter_map(|(g, s)| s.mem.leave_target(node, &self.suspected).map(|t| (g, t)))
             .collect();
         for (group, target) in leave_retries {
             self.group_mut(group).last_leave_send_tick = ticks;
@@ -2159,17 +2227,18 @@ impl<P: Payload> GcsNode<P> {
         }
         // Forced leave for nodes whose LeaveReq went unanswered.
         let stale_leavers: Vec<GroupId> = self
-            .groups
+            .work
+            .joins
             .iter()
-            .filter(|(_, s)| {
+            .filter(|g| {
+                let s = &self.groups[g];
                 s.mem.leaving
                     && ticks.saturating_sub(s.leave_tick) > 2 * self.config.flush_timeout_ticks
             })
-            .map(|(&g, _)| g)
             .collect();
         for group in stale_leavers {
             self.probe(Some(group), || ProtoEvent::ForceLeave);
-            self.groups.remove(&group);
+            self.remove_group(group);
         }
         events
     }
@@ -2182,16 +2251,18 @@ impl<P: Payload> GcsNode<P> {
         let ticks = self.ticks;
         let flush_timeout_ticks = self.config.flush_timeout_ticks;
         let mut cursor = None;
-        loop {
-            let suspected = &self.suspected;
-            let Some(group) = self.next_group(cursor, |s| {
-                s.mem.flush.is_some()
-                    || matches!(s.mem.status, GroupStatus::Flushing | GroupStatus::Joining)
-                    || s.mem.election(node, suspected).is_some()
-            }) else {
-                break;
-            };
+        while let Some(group) = self.work.views.next(cursor) {
             cursor = Some(group);
+            let s = &self.groups[&group];
+            if !(s.mem.flush.is_some()
+                || matches!(s.mem.status, GroupStatus::Flushing | GroupStatus::Joining)
+                || s.mem.election(node, &self.suspected).is_some())
+            {
+                if !has_requests(&s.mem) {
+                    self.work.views.remove(group);
+                }
+                continue;
+            }
             // Abandon flushes whose coordinator went quiet, releasing any
             // sends that were queued behind the promise. A joiner's stale
             // promise is abandoned too: it blocks singleton formation,
@@ -2211,6 +2282,7 @@ impl<P: Payload> GcsNode<P> {
                     state.mem.abandon_flush();
                     state.pending_sends.drain(..).collect()
                 };
+                self.sync_group(group);
                 for payload in pending {
                     let events = self.do_multicast(ctx, group, payload);
                     self.deferred_events.extend(events);
@@ -2238,10 +2310,10 @@ impl<P: Payload> GcsNode<P> {
                         .candidates
                         .iter()
                         .copied()
-                        .filter(|c| {
-                            self.last_heard
-                                .get(c)
-                                .is_none_or(|&at| now.saturating_since(at) > timeout)
+                        .filter(|&c| {
+                            self.peers
+                                .last_heard(c)
+                                .is_none_or(|at| now.saturating_since(at) > timeout)
                         })
                         .collect();
                     self.probe(Some(group), || ProtoEvent::FlushTimeout {
@@ -2255,6 +2327,7 @@ impl<P: Payload> GcsNode<P> {
                             let peer = *candidate;
                             let at = self.trace_now;
                             self.trace(|| GcsTrace::Suspected { at, peer });
+                            self.suspicion_changed(peer);
                         }
                     }
                 }
@@ -2292,6 +2365,8 @@ impl<P: Payload> GcsNode<P> {
             state.promised_tick = ticks;
             vid
         };
+        self.sync_group(group);
+        self.work.resends.add(group);
         for &candidate in &candidates {
             if candidate != node {
                 self.emit(
@@ -2367,15 +2442,31 @@ impl<P: Payload> GcsNode<P> {
     fn tick_prune(&mut self) {
         let ticks = self.ticks;
         let horizon = 10 * self.config.announce_every_ticks;
-        self.nonmember_seen
-            .retain(|_, &mut seen| ticks.saturating_sub(seen) <= horizon);
+        // Entries expire in the order they were last refreshed, which is
+        // the order of the expiry queue once superseded entries are
+        // skipped.
+        while let Some(&(seen, key)) = self.nonmember_expiry.front() {
+            if ticks.saturating_sub(seen) <= horizon {
+                break;
+            }
+            self.nonmember_expiry.pop_front();
+            if self.nonmember_seen.get(&key) == Some(&seen) {
+                self.nonmember_seen.remove(&key);
+            }
+        }
         let expiry = self.config.foreign_expiry_ticks;
         let stale = |seen: u64| ticks.saturating_sub(seen) > expiry;
         let mut cursor = None;
-        while let Some(group) =
-            self.next_group(cursor, |s| s.foreign_seen.values().any(|&seen| stale(seen)))
-        {
+        while let Some(group) = self.work.foreign.next(cursor) {
             cursor = Some(group);
+            let foreign_seen = &self.groups[&group].foreign_seen;
+            if foreign_seen.is_empty() {
+                self.work.foreign.remove(group);
+                continue;
+            }
+            if !foreign_seen.values().any(|&seen| stale(seen)) {
+                continue;
+            }
             let expired: Vec<NodeId> = self.groups[&group]
                 .foreign_seen
                 .iter()
@@ -2387,6 +2478,7 @@ impl<P: Payload> GcsNode<P> {
                 let state = self.groups.get_mut(&group).expect("group exists");
                 state.foreign_seen.remove(&peer);
                 state.mem.expire_foreign(peer);
+                self.work.views.add(group);
             }
         }
     }
@@ -2397,6 +2489,144 @@ impl<P: Payload> GcsNode<P> {
 
     fn group_mut(&mut self, group: GroupId) -> &mut GroupState<P> {
         self.groups.entry(group).or_insert_with(GroupState::new)
+    }
+
+    /// Brings the peer table up to date with `group`'s view and status,
+    /// and lists the group for the view-change pass. Called wherever a view is installed or a status changes.
+    fn sync_group(&mut self, group: GroupId) {
+        let node = self.node;
+        let Some(state) = self.groups.get_mut(&group) else {
+            return;
+        };
+        let status = state.mem.status;
+        let active = matches!(status, GroupStatus::Member | GroupStatus::Flushing);
+        let members = &state.mem.view.members;
+        let others = members.iter().copied().filter(|&m| m != node);
+        if !state.counted.iter().copied().eq(others.clone()) {
+            for &m in &state.counted {
+                self.peers.unlist(m, state.counted_active);
+            }
+            state.counted.clear();
+            state.counted.extend(others);
+            for &m in &state.counted {
+                self.peers.list(m, active);
+            }
+        } else if active != state.counted_active {
+            for &m in &state.counted {
+                self.peers.set_active(m, active);
+            }
+        }
+        state.counted_active = active;
+        if status != GroupStatus::Idle {
+            self.work.views.add(group);
+        }
+    }
+
+    /// Drops `group` with everything the node maintains about it.
+    fn remove_group(&mut self, group: GroupId) {
+        let Some(state) = self.groups.remove(&group) else {
+            return;
+        };
+        for &m in &state.counted {
+            self.peers.unlist(m, state.counted_active);
+        }
+        let work = &mut self.work;
+        for list in [
+            &mut work.joins,
+            &mut work.gaps,
+            &mut work.resends,
+            &mut work.orders,
+            &mut work.foreign,
+            &mut work.views,
+        ] {
+            list.remove(group);
+        }
+    }
+
+    /// Asserts that the peer table equals a recomputation from the groups,
+    /// and that every worklist holds each group its pass has work for.
+    /// Runs after every tick in builds with debug assertions.
+    #[cfg(debug_assertions)]
+    fn check_books(&self) {
+        let node = self.node;
+        let mut expected: BTreeMap<NodeId, (u32, u32)> = BTreeMap::new();
+        for state in self.groups.values() {
+            let active = matches!(
+                state.mem.status,
+                GroupStatus::Member | GroupStatus::Flushing
+            );
+            for &m in state.mem.view.members.iter().filter(|&&m| m != node) {
+                let entry = expected.entry(m).or_default();
+                entry.0 += 1;
+                entry.1 += u32::from(active);
+            }
+        }
+        let table: BTreeMap<NodeId, (u32, u32)> = self
+            .peers
+            .peers()
+            .iter()
+            .map(|p| (p.node, (p.groups, p.active)))
+            .collect();
+        assert_eq!(table, expected, "{node}: peer table differs from the views");
+        assert!(self.peers.others_disjoint(), "{node}: peer time held twice");
+        let work = &self.work;
+        for (&group, s) in &self.groups {
+            let listed = [
+                (
+                    "joins",
+                    &work.joins,
+                    s.mem.status == GroupStatus::Joining || s.mem.leaving,
+                ),
+                (
+                    "gaps",
+                    &work.gaps,
+                    s.recv.values().any(|r| !r.buf.is_empty()),
+                ),
+                (
+                    "resends",
+                    &work.resends,
+                    s.install_resend.is_some() || s.mem.flush.is_some() || s.vc.is_some(),
+                ),
+                ("orders", &work.orders, !s.pending_order.is_empty()),
+                ("foreign", &work.foreign, !s.foreign_seen.is_empty()),
+                (
+                    "views",
+                    &work.views,
+                    s.mem.flush.is_some()
+                        || matches!(s.mem.status, GroupStatus::Flushing | GroupStatus::Joining)
+                        || has_requests(&s.mem)
+                        || s.mem.election(node, &self.suspected).is_some(),
+                ),
+            ];
+            for (name, list, has_work) in listed {
+                assert!(
+                    list.contains(group) || !has_work,
+                    "{node}: {group} missing from {name} list"
+                );
+            }
+        }
+        for list in [
+            &work.joins,
+            &work.gaps,
+            &work.resends,
+            &work.orders,
+            &work.foreign,
+            &work.views,
+        ] {
+            assert!(list.iter().all(|g| self.groups.contains_key(&g)));
+        }
+    }
+
+    /// `peer` was suspected or cleared: every group whose view lists it may
+    /// now elect differently. (Groups with pending joiners, leavers or
+    /// foreign views, whose elections depend on other nodes too, never
+    /// leave the view-change list.)
+    fn suspicion_changed(&mut self, peer: NodeId) {
+        for (&group, state) in &self.groups {
+            if state.mem.view.members.contains(&peer) {
+                self.work.views.add(group);
+            }
+        }
     }
 
     fn join_targets(&self, group: GroupId) -> Vec<NodeId> {
@@ -2468,6 +2698,13 @@ fn floor_of(floors: &[(NodeId, u64)], sender: NodeId) -> Option<u64> {
         .map(|&(_, floor)| floor)
 }
 
+/// Whether join, leave or foreign-view requests are pending, each of
+/// which keeps a group's election live across suspicion changes of nodes
+/// outside its view.
+fn has_requests(mem: &Membership) -> bool {
+    !(mem.pending_joiners.is_empty() && mem.pending_leavers.is_empty() && mem.foreign.is_empty())
+}
+
 /// Whether every causal dependency is satisfied by the local delivery
 /// counts.
 fn causally_ready(delivered: &BTreeMap<NodeId, u64>, deps: &[(NodeId, u64)]) -> bool {
@@ -2510,5 +2747,32 @@ mod tests {
         // Fresh state: own floor is zero (next_seq starts at 1).
         let floors = GroupState::<u8>::new().floors(NodeId(5));
         assert_eq!(floors, vec![(NodeId(5), 0)]);
+    }
+
+    #[test]
+    fn sent_range_clamps_to_the_unstable_sends() {
+        // Sends 1..=7 made, 1..=3 pruned as stable: the buffer holds 4..=7.
+        let mut state = GroupState::<u8>::new();
+        state.next_seq = 8;
+        state.send_buf = (4..=7).map(Carried::Plain).collect();
+        let range = |from, to| -> Vec<u64> {
+            state
+                .sent_range(from, to)
+                .map(|(seq, p)| {
+                    assert!(matches!(p, Carried::Plain(v) if u64::from(*v) == seq));
+                    seq
+                })
+                .collect()
+        };
+        assert_eq!(range(5, 6), vec![5, 6]);
+        assert_eq!(range(1, 5), vec![4, 5]);
+        assert_eq!(range(6, 99), vec![6, 7]);
+        assert!(range(1, 3).is_empty());
+        assert!(range(8, 9).is_empty());
+        assert!(range(6, 5).is_empty());
+        assert_eq!(
+            state.sent().map(|(seq, _)| seq).collect::<Vec<_>>(),
+            vec![4, 5, 6, 7]
+        );
     }
 }

@@ -559,17 +559,12 @@ impl Membership {
         // A member that re-sent a `JoinReq` restarted stateless: it can
         // neither coordinate nor be waited on — it must be re-installed.
         let stateless = |m: &NodeId| self.pending_joiners.contains(m) && *m != node;
-        let alive: Vec<NodeId> = self
-            .view
-            .members
-            .iter()
-            .copied()
-            .filter(|m| !suspected.contains(m) && !stateless(m))
-            .collect();
+        let live = |m: &NodeId| !suspected.contains(m) && !stateless(m);
         // Only the minimum live member coordinates.
-        if alive.first() != Some(&node) {
+        if self.view.members.iter().find(|m| live(m)) != Some(&node) {
             return None;
         }
+        let alive: Vec<NodeId> = self.view.members.iter().copied().filter(live).collect();
         let mut candidates: BTreeSet<NodeId> = alive.iter().copied().collect();
         for joiner in &self.pending_joiners {
             if !suspected.contains(joiner) {

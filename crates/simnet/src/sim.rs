@@ -184,13 +184,15 @@ enum EventKind<M: Payload> {
         b: Vec<NodeId>,
     },
     HealAll,
+    // The two profile events are rare and a `LinkProfile` is large: boxed,
+    // they stay no larger than a datagram, which sets the slab slot size.
     SetDefaultProfile {
-        profile: LinkProfile,
+        profile: Box<LinkProfile>,
     },
     SetLinkOverrides {
         a: Vec<NodeId>,
         b: Vec<NodeId>,
-        profile: Option<LinkProfile>,
+        profile: Option<Box<LinkProfile>>,
     },
 }
 
@@ -398,7 +400,7 @@ impl<M: Payload> Simulation<M> {
             EventKind::SetLinkOverrides {
                 a: a.to_vec(),
                 b: b.to_vec(),
-                profile,
+                profile: profile.map(Box::new),
             },
         );
     }
@@ -443,7 +445,12 @@ impl<M: Payload> Simulation<M> {
     /// to model a transient network degradation: degrade at `t`, restore
     /// the base profile at `t + duration`.
     pub fn set_default_profile_at(&mut self, at: SimTime, profile: LinkProfile) {
-        self.schedule(at, EventKind::SetDefaultProfile { profile });
+        self.schedule(
+            at,
+            EventKind::SetDefaultProfile {
+                profile: Box::new(profile),
+            },
+        );
     }
 
     /// Schedules a network partition separating every node in `a` from every
@@ -762,7 +769,7 @@ impl<M: Payload> Simulation<M> {
             }
             EventKind::SetDefaultProfile { profile } => {
                 self.count(|p| p.profile_change_events += 1);
-                self.default_profile = profile;
+                self.default_profile = *profile;
             }
             EventKind::SetLinkOverrides { a, b, profile } => {
                 self.count(|p| p.profile_change_events += 1);
@@ -770,8 +777,8 @@ impl<M: Payload> Simulation<M> {
                     for &y in &b {
                         match &profile {
                             Some(p) => {
-                                self.overrides.insert((x, y), p.clone());
-                                self.overrides.insert((y, x), p.clone());
+                                self.overrides.insert((x, y), (**p).clone());
+                                self.overrides.insert((y, x), (**p).clone());
                             }
                             None => {
                                 self.overrides.remove(&(x, y));
@@ -1129,6 +1136,25 @@ mod tests {
             ctx.send(Port(1), Endpoint::new(self.peer, Port(1)), Note(self.sent));
             ctx.set_timer_after(Duration::from_millis(1), 0);
         }
+    }
+
+    /// A payload as large as the VoD wire enum.
+    #[derive(Clone, Debug)]
+    struct Wide([u64; 3]);
+
+    impl Payload for Wide {
+        fn size_bytes(&self) -> usize {
+            8 * self.0.len()
+        }
+    }
+
+    #[test]
+    fn a_queued_24_byte_datagram_takes_a_72_byte_slot() {
+        // Every pending event occupies one slab slot, sized by the largest
+        // event kind: a new inline variant larger than a datagram would
+        // grow all of them.
+        assert_eq!(std::mem::size_of::<Wide>(), 24);
+        assert!(std::mem::size_of::<Option<EventKind<Wide>>>() <= 72);
     }
 
     #[test]

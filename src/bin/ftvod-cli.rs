@@ -381,21 +381,32 @@ fn run_fleet(opts: &FleetOptions) -> Result<(), String> {
     sim.run_until(end);
     let report = FleetReport::from_sim(&plan, &sim, end);
     out!("{}", report.render());
+    // Exact: the servers' own counters, the same ones the table sums.
+    let (bringups, retires) = report
+        .per_server
+        .values()
+        .fold((0, 0), |(ups, downs), &(_, _, u, d, _)| {
+            (ups + u, downs + d)
+        });
+    outln!("replication: {bringups} bring-up(s), {retires} retire(s)");
     if let Some(run) = sim.report() {
-        outln!(
-            "replication: {} bring-up(s), {} retire(s)",
-            run.replica_bringups,
-            run.replica_retires
-        );
+        // The run report replays the event ring; once the ring has
+        // overflowed, what it derives misses the dropped events.
+        let dropped = sim.trace().with_recorder(|r| r.dropped()).unwrap_or(0);
+        let inexact = if dropped > 0 {
+            format!(" (inexact: {dropped} trace event(s) dropped)")
+        } else {
+            String::new()
+        };
         if run.prefix_serves > 0 {
             outln!(
-                "prefix tier: {} serve(s), {} handoff(s), {:.1}s of waiting avoided",
+                "prefix tier: {} serve(s), {} handoff(s), {:.1}s of waiting avoided{inexact}",
                 run.prefix_serves,
                 run.prefix_handoffs,
                 run.prefix_seconds_avoided
             );
         }
-        outln!("\n{}", run.summary_line());
+        outln!("\n{}{inexact}", run.summary_line());
     }
     write_net_csv(&sim, opts.net_csv.as_deref())
 }
